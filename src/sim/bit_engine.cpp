@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace nvmsec {
@@ -26,30 +24,26 @@ BitEngine::BitEngine(BitDevice& device, Attack& attack, PayloadModel& payload,
 }
 
 void BitEngine::set_observer(const Observer& obs) {
-  obs_ = obs;
+  // No snapshots: sampling would add a branch to the per-cell hot path.
+  rec_ = RunRecorder(
+      {obs.metrics, obs.trace, nullptr, obs.events, obs.profiler});
   spare_.set_observer(obs);
 }
 
 LifetimeResult BitEngine::run(WriteCount max_user_writes) {
   LifetimeResult result;
   result.ideal_lifetime = device_.reference_lifetime();
-  const ScopedProfPhase prof_span(obs_.profiler, ProfPhase::kBitRun);
+  const ScopedProfPhase prof_span(rec_.profiler(), ProfPhase::kBitRun);
 
   std::vector<WlPhysWrite> batch;
   WriteCount user_writes = 0;
   WriteCount overhead_writes = 0;
   std::uint64_t line_deaths = 0;
-  const DeviceGeometry& geom = device_.geometry();
-  std::vector<std::uint64_t> region_line_deaths;
-  if (obs_.events != nullptr) {
-    region_line_deaths.assign(geom.num_regions(), 0);
-  }
+  rec_.start(device_.geometry());
 
   while (!result.failed &&
          (max_user_writes == 0 || user_writes < max_user_writes)) {
-    if (obs_.events != nullptr) {
-      obs_.events->set_now(static_cast<double>(user_writes));
-    }
+    rec_.at(static_cast<double>(user_writes));
     const LogicalLineAddr la = attack_.next(rng_, wl_.logical_lines());
     batch.clear();
     wl_.on_write(la, rng_, batch);
@@ -68,33 +62,10 @@ LifetimeResult BitEngine::run(WriteCount max_user_writes) {
       }
       if (outcome == BitWriteOutcome::kWornOut) {
         ++line_deaths;
-        if (obs_.events != nullptr) {
-          obs_.events->set_now(static_cast<double>(user_writes));
-          const RegionId region = geom.region_of(line);
-          if (++region_line_deaths[region.value()] ==
-              geom.lines_per_region()) {
-            obs_.events->emit(
-                "region_wear_out",
-                {{"region", static_cast<double>(region.value())}});
-          }
-        }
+        rec_.line_died(line, static_cast<double>(user_writes));
         if (!spare_.on_wear_out(w.working_index)) {
-          result.failed = true;
-          result.failure_reason =
-              "unreplaceable wear-out at working index " +
-              std::to_string(w.working_index) + " (line " +
-              std::to_string(line.value()) + ")";
-          if (obs_.events != nullptr) {
-            obs_.events->emit(
-                "end_of_life",
-                {{"cause", "unreplaceable_wear_out"},
-                 {"working_index", static_cast<double>(w.working_index)},
-                 {"line", static_cast<double>(line.value())},
-                 {"region",
-                  static_cast<double>(geom.region_of(line).value())},
-                 {"user_writes", static_cast<double>(user_writes)},
-                 {"line_deaths", static_cast<double>(line_deaths)}});
-          }
+          rec_.end_of_life(result, w.working_index, line,
+                           static_cast<double>(user_writes), line_deaths);
           break;
         }
       }
@@ -105,37 +76,7 @@ LifetimeResult BitEngine::run(WriteCount max_user_writes) {
   result.overhead_writes = overhead_writes;
   result.device_writes = device_.total_writes();
   result.line_deaths = line_deaths;
-  result.normalized =
-      result.ideal_lifetime > 0 ? result.user_writes / result.ideal_lifetime
-                                : 0.0;
-  if (!result.failed) {
-    result.failure_reason = "write cap reached";
-  }
-  if (obs_.events != nullptr) {
-    obs_.events->set_now(static_cast<double>(user_writes));
-    obs_.events->emit(
-        "run_end",
-        {{"outcome", result.failed ? "device_failure" : "write_cap_reached"},
-         {"user_writes", static_cast<double>(user_writes)},
-         {"overhead_writes", static_cast<double>(overhead_writes)},
-         {"line_deaths", static_cast<double>(line_deaths)}});
-  }
-  if (obs_.metrics != nullptr) {
-    // Mirror the line-level Engine's metric names so downstream tooling
-    // reads either engine's output unchanged.
-    MetricsRegistry& m = *obs_.metrics;
-    m.counter("engine.user_writes").set(user_writes);
-    m.counter("engine.overhead_writes").set(overhead_writes);
-    m.counter("engine.line_deaths").set(line_deaths);
-    m.counter("engine.device_writes").set(device_.total_writes());
-    const SpareSchemeStats s = spare_.stats();
-    m.gauge("spare.spares_remaining")
-        .set(static_cast<double>(s.spares_remaining));
-    m.gauge("spare.lmt_entries").set(static_cast<double>(s.lmt_entries));
-    m.gauge("spare.rmt_entries").set(static_cast<double>(s.rmt_entries));
-    m.counter("spare.replacements").set(s.replacements);
-    m.counter("wl.migration_writes").set(wl_.overhead_writes());
-  }
+  rec_.finish(result, {.spare = &spare_, .wear_leveler = &wl_});
   return result;
 }
 

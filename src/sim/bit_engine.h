@@ -13,7 +13,7 @@
 
 #include "attack/attack.h"
 #include "nvm/bit_device.h"
-#include "obs/observer.h"
+#include "obs/run_recorder.h"
 #include "reduction/payload.h"
 #include "sim/lifetime.h"
 #include "spare/spare_scheme.h"
@@ -32,10 +32,9 @@ class BitEngine {
             WriteCodec& codec, WearLeveler& wear_leveler,
             SpareScheme& spare_scheme, Rng& rng);
 
-  /// Attach observability sinks: the decision event log and run-level
-  /// metrics (same names as the line-level Engine's), forwarded to the
-  /// spare scheme. BitDevice itself stays uninstrumented — its per-cell
-  /// hot path is the whole point of this engine.
+  /// Attach the event log and metrics (reported through
+  /// obs/run_recorder.h), forwarded to the spare scheme. No snapshots, and
+  /// BitDevice stays uninstrumented: its per-cell hot path is the point.
   void set_observer(const Observer& obs);
 
   /// Run until device failure, or until `max_user_writes` if non-zero.
@@ -44,7 +43,7 @@ class BitEngine {
   LifetimeResult run(WriteCount max_user_writes = 0);
 
  private:
-  Observer obs_{};
+  RunRecorder rec_{};
   BitDevice& device_;
   Attack& attack_;
   PayloadModel& payload_;

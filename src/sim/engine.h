@@ -16,7 +16,7 @@
 #include "detect/detector.h"
 #include "fault/metadata_faults.h"
 #include "nvm/device.h"
-#include "obs/observer.h"
+#include "obs/run_recorder.h"
 #include "sim/lifetime.h"
 #include "spare/spare_scheme.h"
 #include "util/rng.h"
@@ -92,10 +92,9 @@ class Engine {
   /// counts — a resumed run is bit-identical to an uninterrupted one.
   LifetimeResult run(WriteCount max_user_writes = 0);
 
-  /// Attach observability sinks: run-level counters and the run span go to
-  /// metrics/trace, and the snapshot emitter is polled every user write.
-  /// Also forwards to the device and spare scheme so their events flow to
-  /// the same sinks. A default Observer restores the no-op mode.
+  /// Attach observability sinks (reported through obs/run_recorder.h, the
+  /// snapshot cadence polled every user write), forwarded to the device and
+  /// spare scheme. A default Observer restores the no-op mode.
   void set_observer(const Observer& obs);
 
  private:
@@ -105,7 +104,7 @@ class Engine {
   /// Domain tag for the batched-sampling substream derivation.
   static constexpr std::uint64_t kCountsStreamTag = 0xBA7C4ED5A3B1E500ULL;
 
-  Observer obs_{};
+  RunRecorder rec_{};
   Device& device_;
   Attack& attack_;
   WearLeveler& wl_;

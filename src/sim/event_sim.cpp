@@ -10,11 +10,8 @@
 #include <tuple>
 #include <vector>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/snapshot.h"
-#include "obs/trace.h"
 #include "sim/wear_report.h"
 #include "util/arena.h"
 
@@ -43,7 +40,7 @@ UniformEventSimulator::UniformEventSimulator(
 }
 
 void UniformEventSimulator::set_observer(const Observer& obs) {
-  obs_ = obs;
+  rec_ = RunRecorder(obs);
   scheme_.set_observer(obs);
 }
 
@@ -80,8 +77,9 @@ LifetimeResult UniformEventSimulator::run() {
   const DeviceGeometry& geom = endurance_->geometry();
   const std::uint64_t n = geom.num_lines();
   const std::uint64_t u = scheme_.working_lines();
-  const ScopedTimer run_span(obs_.trace, "event_sim.run");
-  const ScopedProfPhase prof_span(obs_.profiler, ProfPhase::kEventRun);
+  const ScopedTimer run_span = rec_.span("event_sim.run");
+  Profiler* const prof = rec_.profiler();
+  const ScopedProfPhase prof_span(prof, ProfPhase::kEventRun);
 
   // Working state lives in a bump arena: a run-local one by default, the
   // caller's via set_scratch() when many devices run back-to-back.
@@ -155,12 +153,9 @@ LifetimeResult UniformEventSimulator::run() {
 
   double t = 0.0;
   std::uint64_t deaths = 0;
-  // Per-region death counts for region_wear_out events; every line dies at
-  // most once here (dead lines are never re-homed onto), so exact.
-  std::span<std::uint64_t> region_line_deaths;
-  if (obs_.events != nullptr) {
-    region_line_deaths = arena.make_span<std::uint64_t>(geom.num_regions());
-  }
+  // Every line dies at most once here (dead lines are never re-homed onto),
+  // so the recorder's per-region death counts are exact.
+  rec_.start(geom);
 
   while (!heap.empty() && !result.failed) {
     const auto [death_time, line, v] = heap.top();
@@ -173,48 +168,19 @@ LifetimeResult UniformEventSimulator::run() {
     ++version[line];
     ++deaths;
 
-    if (obs_.events != nullptr) {
-      // The write clock is the continuous-time equivalent: t rounds of u
-      // uniform user writes each.
-      obs_.events->set_now(t * static_cast<double>(u));
-      const RegionId region = geom.region_of(PhysLineAddr{line});
-      if (++region_line_deaths[region.value()] == geom.lines_per_region()) {
-        obs_.events->emit(
-            "region_wear_out",
-            {{"region", static_cast<double>(region.value())}});
-      }
-    }
-    if (obs_.trace != nullptr) {
-      obs_.trace->instant(
-          "wear_out",
-          {{"line", static_cast<double>(line)},
-           {"region",
-            static_cast<double>(geom.region_of(PhysLineAddr{line}).value())},
-           {"sim_rounds", t},
-           {"worn_out_lines", static_cast<double>(deaths)}});
-    }
-    if (obs_.snapshots != nullptr &&
-        obs_.snapshots->due(t * static_cast<double>(u))) {
-      SnapshotContext ctx;
-      ctx.spare = &scheme_;
-      ctx.user_writes = t * static_cast<double>(u);
-      ctx.sim_rounds = t;
-      obs_.snapshots->snapshot(ctx);
-      if (obs_.trace != nullptr) {
-        const SpareSchemeStats s = scheme_.stats();
-        obs_.trace->counter(
-            "wear",
-            {{"line_deaths", static_cast<double>(deaths)},
-             {"spares_remaining", static_cast<double>(s.spares_remaining)},
-             {"lmt_entries", static_cast<double>(s.lmt_entries)}});
-      }
+    // The write clock is the continuous-time equivalent: t rounds of u
+    // uniform user writes each.
+    const double now = t * static_cast<double>(u);
+    rec_.line_died(PhysLineAddr{line}, now);
+    rec_.wear_out_instant(PhysLineAddr{line}, t, deaths);
+    if (rec_.snapshot_due(now)) {
+      rec_.snapshot({.spare = &scheme_, .user_writes = now, .sim_rounds = t},
+                    deaths);
     }
 
     // Re-home every working index the dead line was serving.
-    const ScopedProfPhase rescue_span(obs_.profiler, ProfPhase::kEventRescue);
-    if (obs_.profiler != nullptr) {
-      obs_.profiler->add(ProfCounter::kRescueEvents);
-    }
+    const ScopedProfPhase rescue_span(prof, ProfPhase::kEventRescue);
+    if (prof != nullptr) prof->add(ProfCounter::kRescueEvents);
     std::uint32_t idx = list_head[line];
     list_head[line] = kNone;
     rate[line] = 0.0;
@@ -236,22 +202,9 @@ LifetimeResult UniformEventSimulator::run() {
         }
       }
       if (!replaced) {
-        result.failed = true;
-        result.failure_reason = "unreplaceable wear-out at working index " +
-                                std::to_string(idx) + " (line " +
-                                std::to_string(line) + ") after " +
-                                std::to_string(deaths) + " line deaths";
-        if (obs_.events != nullptr) {
-          obs_.events->emit(
-              "end_of_life",
-              {{"cause", "unreplaceable_wear_out"},
-               {"working_index", static_cast<double>(idx)},
-               {"line", static_cast<double>(line)},
-               {"region", static_cast<double>(
-                              geom.region_of(PhysLineAddr{line}).value())},
-               {"user_writes", t * static_cast<double>(u)},
-               {"line_deaths", static_cast<double>(deaths)}});
-        }
+        rec_.end_of_life(result, idx, PhysLineAddr{line}, now, deaths);
+        result.failure_reason +=
+            " after " + std::to_string(deaths) + " line deaths";
         break;
       }
       list_next[idx] = list_head[nb];
@@ -269,21 +222,11 @@ LifetimeResult UniformEventSimulator::run() {
   if (!result.failed) {
     // Defensive: with the bundled schemes failure always precedes heap
     // exhaustion, but a custom scheme with unbounded spares could get here.
-    result.failed = true;
-    result.failure_reason = "all backed lines worn out";
-    if (obs_.events != nullptr) {
-      obs_.events->emit("end_of_life",
-                        {{"cause", "all_backed_lines_worn"},
-                         {"user_writes", t * static_cast<double>(u)},
-                         {"line_deaths", static_cast<double>(deaths)}});
-    }
+    rec_.end_of_life_all_worn(result, t * static_cast<double>(u), deaths);
   }
 
   result.user_writes = t * static_cast<double>(u);
   result.line_deaths = deaths;
-  result.normalized = result.ideal_lifetime > 0
-                          ? result.user_writes / result.ideal_lifetime
-                          : 0.0;
 
   // Per-line utilization Gini at end of run, matching analyze_wear()'s
   // definition. Lines still under load accrued wear since their last
@@ -298,35 +241,11 @@ LifetimeResult UniformEventSimulator::run() {
     result.wear_gini = gini_coefficient_inplace(utilization);
   }
 
-  if (obs_.events != nullptr) {
-    obs_.events->set_now(result.user_writes);
-    obs_.events->emit("run_end",
-                      {{"outcome", "device_failure"},
-                       {"user_writes", result.user_writes},
-                       {"line_deaths", static_cast<double>(deaths)}});
-  }
-  if (obs_.metrics != nullptr) {
-    // Mirror the stochastic engine's metric names so downstream tooling
-    // reads either engine's output unchanged.
-    MetricsRegistry& m = *obs_.metrics;
-    m.counter("engine.user_writes")
-        .set(static_cast<std::uint64_t>(result.user_writes));
-    m.counter("engine.line_deaths").set(deaths);
-    m.counter("device.wear_outs").set(deaths);
-    const SpareSchemeStats s = scheme_.stats();
-    m.counter("spare.replacements").set(s.replacements);
-    m.gauge("spare.spares_remaining")
-        .set(static_cast<double>(s.spares_remaining));
-    m.gauge("spare.lmt_entries").set(static_cast<double>(s.lmt_entries));
-    m.gauge("spare.rmt_entries").set(static_cast<double>(s.rmt_entries));
-    m.gauge("event_sim.rounds").set(t);
-  }
-  if (obs_.snapshots != nullptr) {
-    SnapshotContext ctx;
-    ctx.spare = &scheme_;
-    ctx.user_writes = result.user_writes;
-    ctx.sim_rounds = t;
-    obs_.snapshots->snapshot_now(ctx);
+  rec_.finish(result, {.spare = &scheme_, .sim_rounds = t});
+  // The wear-out count a Device would publish, and the continuous clock.
+  if (MetricsRegistry* const m = rec_.metrics()) {
+    m->counter("device.wear_outs").set(deaths);
+    m->gauge("event_sim.rounds").set(t);
   }
   return result;
 }

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "nvm/endurance_map.h"
-#include "obs/observer.h"
+#include "obs/run_recorder.h"
 #include "sim/lifetime.h"
 #include "spare/spare_scheme.h"
 
@@ -64,16 +64,13 @@ class UniformEventSimulator {
   /// simulated trajectory is bit-identical either way.
   void set_scratch(Arena* arena) { scratch_ = arena; }
 
-  /// Attach observability sinks. Wear-out events become trace instants
-  /// (there is no Device here to emit them), counters mirror the stochastic
-  /// engine's names, and snapshots fire on the same user-write cadence —
-  /// sampled at event granularity, since nothing changes between events.
-  /// Snapshots carry spare/mapping-table occupancy but no WearReport (the
-  /// event engine tracks wear analytically, not per line).
+  /// Attach observability sinks (reported through obs/run_recorder.h).
+  /// Snapshots are sampled at event granularity, since nothing changes
+  /// between events, and carry no WearReport: wear is tracked analytically.
   void set_observer(const Observer& obs);
 
  private:
-  Observer obs_{};
+  RunRecorder rec_{};
   std::shared_ptr<const EnduranceMap> endurance_;
   SpareScheme& scheme_;
   Arena* scratch_{nullptr};

@@ -130,9 +130,9 @@ struct ExperimentConfig {
 
   /// Observability sinks (borrowed; see obs/session.h for an owning
   /// composition). Default — all null — is the zero-overhead no-op mode.
-  /// Event and stochastic engines are fully instrumented; the bit-level
-  /// engine records decision events and run-level metrics but no traces
-  /// or snapshots (its per-cell hot path stays untouched).
+  /// Every engine reports through obs/run_recorder.h. The bit-level engine
+  /// takes no snapshots and adds no trace events of its own (its per-cell
+  /// hot path stays untouched); its spare scheme's events still flow.
   Observer observer{};
 
   /// Region-aligned spare budget in lines: round(spare_fraction * R) * L/R.

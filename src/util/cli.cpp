@@ -47,8 +47,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw std::invalid_argument("unexpected argument '" + arg +
+                                  "': every argument must be a --flag");
     }
     arg.erase(0, 2);
     std::string name = arg;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace nvmsec {
 namespace {
 
@@ -86,14 +90,25 @@ TEST(CliTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(cli.get_double("f"), 2.25);
 }
 
-TEST(CliTest, PositionalArgumentsCollected) {
-  CliParser cli("test");
-  cli.add_flag("a", "", "0");
-  auto args = argv_of({"first", "--a=1", "second"});
-  ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "first");
-  EXPECT_EQ(cli.positional()[1], "second");
+TEST(CliTest, StrayPositionalArgumentThrows) {
+  // A bare word anywhere, even after a complete --flag value pair, is
+  // rejected with a message that names it.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases{
+      {argv_of({"--a", "1", "oops"}), "oops"},
+      {argv_of({"oops", "--a=1"}), "oops"},
+      {argv_of({"-a"}), "-a"}};
+  for (const auto& [args, stray] : cases) {
+    CliParser cli("test");
+    cli.add_flag("a", "", "0");
+    try {
+      cli.parse(static_cast<int>(args.size()), args.data());
+      ADD_FAILURE() << "accepted stray argument " << stray;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + stray + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CliTest, HelpReturnsFalse) {
