@@ -61,34 +61,59 @@ if ! diff -u "${WORK}/ref.out" "${WORK}/resumed.out"; then
 fi
 echo "PASS: resumed run is byte-identical to the uninterrupted run"
 
-# ---- sweep-level checkpoints: kill a seed sweep, resume the missing runs --
+# ---- sweep-level checkpoints: kill a seed sweep, tear its journal tail,
+# resume the missing runs. A sweep journals one CRC-framed record per
+# finished run into an append-only MXWEJRNL journal, so the kill can land
+# mid-append; replay truncates the torn tail and the resumed sweep re-runs
+# only the runs whose records never hit the disk intact.
 SWEEP=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 2000
        --spare maxwe --seed 11 --seeds 4 --jobs 1)
-SWEEP_CKPT=${WORK}/sweep.ckpt
+SWEEP_CKPT=${WORK}/sweep.jrnl
+JOURNAL_HEADER_BYTES=20
 
-echo "[sweep 1/3] reference sweep (uninterrupted)..."
-if ! "${TOOL}" "${SWEEP[@]}" > "${WORK}/sweep_ref.out"; then
+file_size() {
+  wc -c < "$1" | tr -d ' '
+}
+
+echo "[sweep 1/4] reference sweep (uninterrupted, journaling)..."
+if ! "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${WORK}/sweep_ref.jrnl" \
+     > "${WORK}/sweep_ref.out"; then
   echo "FAIL: reference sweep exited non-zero" >&2
   exit 1
 fi
 
-echo "[sweep 2/3] checkpointing sweep, SIGKILL after the first recorded run..."
+echo "[sweep 2/4] journaling sweep, SIGKILL after the first recorded run..."
 "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}" \
   > "${WORK}/sweep_killed.out" 2>&1 &
 PID=$!
 for _ in $(seq 1 400); do
-  [[ -f ${SWEEP_CKPT} ]] && break
+  if [[ -f ${SWEEP_CKPT} ]] && \
+     [[ $(file_size "${SWEEP_CKPT}") -gt ${JOURNAL_HEADER_BYTES} ]]; then
+    break
+  fi
   kill -0 "${PID}" 2>/dev/null || break
   sleep 0.05
 done
-kill -KILL "${PID}" 2>/dev/null
+if kill -KILL "${PID}" 2>/dev/null; then
+  echo "      killed pid ${PID}"
+else
+  echo "      note: sweep finished before the kill landed (still a valid resume)"
+fi
 wait "${PID}" 2>/dev/null
 if [[ ! -f ${SWEEP_CKPT} ]]; then
-  echo "FAIL: no sweep checkpoint was written before the process died" >&2
+  echo "FAIL: no sweep journal was written before the process died" >&2
+  exit 1
+fi
+if ! head -c 8 "${SWEEP_CKPT}" | grep -q "MXWEJRNL"; then
+  echo "FAIL: sweep checkpoint does not carry the MXWEJRNL journal magic" >&2
   exit 1
 fi
 
-echo "[sweep 3/3] resume the sweep (recorded runs are skipped)..."
+echo "[sweep 3/4] tear the journal tail, then resume (recorded runs are skipped)..."
+# Simulate the worst case of a mid-append kill: garbage after the last good
+# record. replay() must truncate it and the resume must still reproduce
+# the reference byte-for-byte.
+printf '\x40\x00\x00\x00TORN-TAIL-GARBAGE' >> "${SWEEP_CKPT}"
 if ! "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}" --resume \
      > "${WORK}/sweep_resumed.out"; then
   echo "FAIL: resumed sweep exited non-zero" >&2
@@ -100,6 +125,25 @@ if ! diff -u "${WORK}/sweep_ref.out" "${WORK}/sweep_resumed.out"; then
   exit 1
 fi
 echo "PASS: resumed sweep is byte-identical to the uninterrupted sweep"
+
+# Append-only store: the uninterrupted journal records each run once, and
+# the crash + resume re-appends only the runs lost to the kill — so the
+# combined file must stay under 2x the one-record-per-run size.
+SWEEP_BYTES=$(file_size "${SWEEP_CKPT}")
+SWEEP_ONCE=$(file_size "${WORK}/sweep_ref.jrnl")
+if [[ ${SWEEP_BYTES} -gt $(( 2 * SWEEP_ONCE )) ]]; then
+  echo "FAIL: crash+resume sweep journal (${SWEEP_BYTES} bytes) exceeds 2x the uninterrupted journal (${SWEEP_ONCE} bytes)" >&2
+  exit 1
+fi
+echo "PASS: sweep journal stayed append-only sized (${SWEEP_BYTES} vs ${SWEEP_ONCE} bytes uninterrupted)"
+
+echo "[sweep 4/4] a legacy MXWECKPT file must not resume a sweep..."
+if "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${CKPT}" --resume \
+     > /dev/null 2> "${WORK}/sweep_legacy.err"; then
+  echo "FAIL: sweep resume accepted a legacy MXWECKPT checkpoint" >&2
+  exit 1
+fi
+echo "PASS: legacy MXWECKPT checkpoint was refused"
 
 # ---- flight recorder: the decision event log survives the SIGKILL and the
 # resumed run's log is byte-identical to an uninterrupted reference. The

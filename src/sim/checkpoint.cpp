@@ -83,11 +83,14 @@ Result<std::vector<std::uint8_t>> load_checkpoint_file(
   }
   // Sanity-bound the declared size by the actual file size before
   // allocating (a corrupt length field must not trigger a huge allocation).
+  // Compare against the bytes left after the 4-byte CRC rather than
+  // computing size + 4, which wraps for a declared size near 2^64.
   const std::istream::pos_type data_start = in.tellg();
   in.seekg(0, std::ios::end);
   const std::istream::pos_type file_end = in.tellg();
-  if (data_start < 0 || file_end < 0 ||
-      static_cast<std::uint64_t>(file_end - data_start) < size + 4) {
+  if (data_start < 0 || file_end < data_start ||
+      static_cast<std::uint64_t>(file_end - data_start) < 4 ||
+      size > static_cast<std::uint64_t>(file_end - data_start) - 4) {
     return Status::corruption("checkpoint '" + path +
                               "': payload truncated (declared " +
                               std::to_string(size) + " bytes)");

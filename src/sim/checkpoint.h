@@ -5,7 +5,7 @@
 //
 //   offset  size  field
 //   0       8     magic "MXWECKPT"
-//   8       4     format version (little-endian u32, currently 3)
+//   8       4     format version (little-endian u32, currently 5)
 //   12      8     payload size in bytes (little-endian u64)
 //   20      n     payload
 //   20+n    4     CRC-32 of the payload (little-endian u32)
@@ -14,6 +14,9 @@
 // crash mid-write leaves the previous checkpoint intact; a torn or
 // tampered file is rejected by the size/CRC checks with a structured
 // error instead of resuming from garbage.
+//
+// The container holds the engine's single-run snapshots only. Sweeps and
+// fleets record finished items in the append-only journal (sim/journal.h).
 #pragma once
 
 #include <cstdint>

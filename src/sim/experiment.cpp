@@ -244,6 +244,9 @@ SpareScheme* ExperimentWorkspace::acquire_spare(
                          spare_fraction_ == config.spare_fraction &&
                          swr_fraction_ == config.swr_fraction;
   if (!key_match || !spare_->rebind(map, rng)) {
+    // Free the old scheme before the new one allocates its tables, so two
+    // schemes are never resident at once.
+    spare_.reset();
     spare_ = build_spare_scheme(config, map, rng);
     spare_name_ = config.spare_scheme;
     spare_fraction_ = config.spare_fraction;

@@ -164,8 +164,9 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
                               EnduranceMapCache* cache);
 
 /// Reusable per-worker state for back-to-back run_experiment calls — the
-/// fleet runner's setup-amortization unit. Holds the heavy objects one
-/// device run constructs and the next run of the same shape can recycle:
+/// setup-amortization unit of every fan-out runner (sweeps and fleets
+/// alike, see sim/fan_out.h). Holds the heavy objects one run constructs
+/// and the next run of the same shape can recycle:
 /// the endurance map (rebuilt in place with identical RNG draws), the
 /// spare scheme (rebound via SpareScheme::rebind when the scheme supports
 /// it), the Device wear state, and a bump arena for engine scratch.

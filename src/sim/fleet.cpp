@@ -1,8 +1,6 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "attack/mixed.h"
@@ -11,11 +9,9 @@
 #include "obs/json.h"
 #include "obs/json_parse.h"
 #include "obs/profiler.h"
-#include "sim/endurance_cache.h"
-#include "sim/fleet_journal.h"
+#include "sim/fan_out.h"
 #include "util/rng.h"
 #include "util/serialize.h"
-#include "util/thread_pool.h"
 
 namespace nvmsec {
 
@@ -380,7 +376,6 @@ std::uint64_t shard_count(const FleetSpec& spec, std::uint64_t shard) {
 /// device, arena); it is an allocation strategy only and cannot change the
 /// aggregate.
 FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
-                         EnduranceMapCache* cache,
                          ExperimentWorkspace* workspace, Profiler* prof) {
   const ScopedProfPhase shard_span(prof, ProfPhase::kFleetShard);
   FleetAggregate agg;
@@ -408,7 +403,7 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
 
     const LifetimeResult result = [&] {
       const ScopedProfPhase device_span(prof, ProfPhase::kFleetDevice);
-      return run_experiment(config, cache, workspace);
+      return run_experiment(config, nullptr, workspace);
     }();
     log.finalize();
     bool truncated = false;
@@ -438,207 +433,86 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   validate_spec(spec);
   const std::uint64_t num_shards =
       (spec.devices + spec.shard_size - 1) / spec.shard_size;
-  const std::uint64_t fingerprint = fleet_fingerprint(spec);
-
   std::vector<FleetAggregate> shard_aggs(num_shards);
-  std::vector<char> done(num_shards, 0);
 
-  if (options.resume && options.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "run_fleet: resume needs a checkpoint_path to resume from");
-  }
-  bool journal_exists = false;
-  if (options.resume) {
-    Result<std::vector<FleetJournalRecord>> replayed =
-        FleetJournal::replay(options.checkpoint_path, fingerprint);
-    if (replayed.ok()) {
-      journal_exists = true;
-      for (const FleetJournalRecord& rec : replayed.value()) {
-        if (rec.shard_index >= num_shards) {
-          throw std::runtime_error(
-              "run_fleet: journal shard index out of range");
-        }
-        // A shard may appear twice (crash between append and the process
-        // dying, then a re-run): records are immutable once framed, so the
-        // last one simply wins.
-        FleetAggregate agg;
-        StateReader shard_reader(rec.payload);
-        agg.load_state(shard_reader).throw_if_error();
-        shard_aggs[rec.shard_index] = std::move(agg);
-        done[rec.shard_index] = 1;
-      }
-    } else if (replayed.status().code() != StatusCode::kNotFound) {
-      replayed.status().throw_if_error();
-    }
-  }
-  FleetJournal journal;
-  if (!options.checkpoint_path.empty()) {
-    // Fresh campaigns (and resumes that found no file) start a new journal;
-    // a replayed journal is extended in place — its torn tail, if any, was
-    // truncated during replay.
-    journal.open(options.checkpoint_path, fingerprint,
-                 /*truncate=*/!journal_exists)
-        .throw_if_error();
-  }
+  FanOutOptions fan_options;
+  fan_options.jobs = options.jobs;
+  fan_options.journal_path = options.checkpoint_path;
+  fan_options.resume = options.resume;
+  fan_options.fingerprint = fleet_fingerprint(spec);
+  fan_options.max_new_items = options.stop_after_shards;
+  fan_options.profiler = options.profiler;
+  fan_options.journal_phase = ProfPhase::kFleetCheckpoint;
+  FanOut fan(num_shards, std::move(fan_options),
+             [&](std::uint64_t shard, StateReader& r) {
+               if (shard >= num_shards) {
+                 throw std::runtime_error(
+                     "run_fleet: journal shard index out of range");
+               }
+               FleetAggregate agg;
+               agg.load_state(r).throw_if_error();
+               shard_aggs[shard] = std::move(agg);
+               return true;
+             });
 
-  std::vector<std::uint64_t> pending;
-  for (std::uint64_t i = 0; i < num_shards; ++i) {
-    if (done[i] == 0) pending.push_back(i);
-  }
-  if (options.stop_after_shards > 0 &&
-      pending.size() > options.stop_after_shards) {
-    pending.resize(options.stop_after_shards);
-  }
-
-  // Fleet device seeds are all distinct, so a shared endurance-map cache
-  // never hits within a campaign — per-worker workspaces (in-place map
-  // rebuilds) replace it on the default path. An explicitly supplied cache
-  // still wins: the caller is sharing maps across campaigns.
-  EnduranceMapCache* cache =
-      options.use_cache && options.cache != nullptr ? options.cache : nullptr;
-
-  // Per-worker reusable setup state, pooled across shards: a worker checks
-  // a workspace out for a shard and returns it after, so steady-state shard
-  // execution reuses the previous shard's map/spare/device/arena instead of
-  // reallocating them per device.
-  std::mutex workspace_mu;
-  std::vector<std::unique_ptr<ExperimentWorkspace>> workspace_pool;
-  const auto acquire_workspace = [&]() -> std::unique_ptr<ExperimentWorkspace> {
-    {
-      const std::lock_guard<std::mutex> lock(workspace_mu);
-      if (!workspace_pool.empty()) {
-        std::unique_ptr<ExperimentWorkspace> ws =
-            std::move(workspace_pool.back());
-        workspace_pool.pop_back();
-        return ws;
-      }
-    }
-    return std::make_unique<ExperimentWorkspace>();
-  };
-  const auto release_workspace = [&](std::unique_ptr<ExperimentWorkspace> ws) {
-    const std::lock_guard<std::mutex> lock(workspace_mu);
-    workspace_pool.push_back(std::move(ws));
-  };
-
-  // Per-shard private profilers: a shard is claimed by exactly one thread,
-  // so its profiler needs no locks; everything merges into options.profiler
-  // in shard-index order after the join (merge is associative and
-  // commutative, so the result is scheduling-independent).
-  Profiler* const prof = options.profiler;
-  std::vector<Profiler> shard_profilers(prof != nullptr ? num_shards : 0);
-  const auto shard_prof = [&](std::uint64_t shard) -> Profiler* {
-    return prof != nullptr ? &shard_profilers[shard] : nullptr;
-  };
-
-  const std::size_t jobs = std::min<std::size_t>(
-      options.jobs == 0 ? ThreadPool::hardware_workers() : options.jobs,
-      std::max<std::size_t>(pending.size(), 1));
-
-  // Completion-side state: checkpoint mirror, heartbeat progress and shard
-  // wall-time telemetry, all updated under one lock. The progress aggregate
-  // merges in completion order — telemetry only; the returned result merges
-  // in index order.
-  std::mutex mu;
+  // Completion-side telemetry: heartbeat progress and shard wall times,
+  // updated under the fan-out's completion lock. The progress aggregate
+  // merges in completion order — telemetry only; the returned result
+  // merges in index order.
   FleetAggregate progress;
-  std::uint64_t shards_done_live = 0;
+  std::uint64_t shards_replayed = 0;
   std::uint64_t shards_timed = 0;
   std::uint64_t shard_wall_sum_ns = 0;
   std::uint64_t shard_wall_max_ns = 0;
-  for (char d : done) shards_done_live += d != 0 ? 1 : 0;
-  if (options.heartbeat != nullptr) {
-    for (std::uint64_t i = 0; i < num_shards; ++i) {
-      if (done[i] != 0) progress.merge(shard_aggs[i]);
-    }
+  for (std::uint64_t i = 0; i < num_shards; ++i) {
+    if (!fan.done(i)) continue;
+    ++shards_replayed;
+    if (options.heartbeat != nullptr) progress.merge(shard_aggs[i]);
   }
   const auto make_sample_locked = [&]() {
     HeartbeatSample s = make_sample(progress, spec.devices);
-    s.shards_done = shards_done_live;
+    s.shards_done = shards_replayed + shards_timed;
     s.shards_total = num_shards;
-    s.workers = jobs;
+    s.workers = fan.workers();
     s.shards_timed = shards_timed;
     s.shard_sec_sum = static_cast<double>(shard_wall_sum_ns) * 1e-9;
     s.shard_sec_max = static_cast<double>(shard_wall_max_ns) * 1e-9;
-    if (journal.is_open()) {
+    if (fan.journal().is_open()) {
       s.checkpoint_bytes_written =
-          static_cast<std::int64_t>(journal.bytes_written());
+          static_cast<std::int64_t>(fan.journal().bytes_written());
     }
     return s;
   };
-  const auto complete_shard = [&](std::uint64_t shard, FleetAggregate agg,
-                                  std::uint64_t wall_ns) {
-    const std::lock_guard<std::mutex> lock(mu);
-    shard_aggs[shard] = std::move(agg);
-    done[shard] = 1;
-    ++shards_done_live;
-    ++shards_timed;
-    shard_wall_sum_ns += wall_ns;
-    shard_wall_max_ns = std::max(shard_wall_max_ns, wall_ns);
-    if (journal.is_open()) {
-      // The journal append is serialized by the lock; attribute it to the
-      // shard whose completion triggered it (that profiler is still
-      // exclusively this thread's until the merge below).
-      const ScopedProfPhase ckpt_span(shard_prof(shard),
-                                      ProfPhase::kFleetCheckpoint);
-      StateWriter w;
-      shard_aggs[shard].save_state(w);
-      journal.append(shard, w.buffer()).throw_if_error();
-    }
-    if (options.heartbeat != nullptr) {
-      progress.merge(shard_aggs[shard]);
-      options.heartbeat->sample(make_sample_locked());
-    }
-  };
-  const auto run_one = [&](std::uint64_t shard) {
-    const std::uint64_t start_ns = Profiler::now_ns();
-    std::unique_ptr<ExperimentWorkspace> ws = acquire_workspace();
-    FleetAggregate agg =
-        run_shard(spec, shard, cache, ws.get(), shard_prof(shard));
-    release_workspace(std::move(ws));
-    complete_shard(shard, std::move(agg), Profiler::now_ns() - start_ns);
-  };
 
-  const std::uint64_t section_start = Profiler::now_ns();
-  if (jobs <= 1) {
-    for (std::uint64_t shard : pending) run_one(shard);
-    if (prof != nullptr && !pending.empty()) {
-      // Serial campaign: one driver (this thread), busy the whole section.
-      const std::uint64_t section_ns = Profiler::now_ns() - section_start;
-      prof->set_utilization({ProfWorkerStats{section_ns, pending.size()}},
-                            section_ns);
-    }
-  } else {
-    ThreadPool pool(jobs - 1);
-    std::vector<WorkerUtilization> utilization;
-    pool.parallel_for_each(
-        pending.size(), [&](std::size_t k) { run_one(pending[k]); },
-        prof != nullptr ? &utilization : nullptr);
-    if (prof != nullptr) {
-      const std::uint64_t section_ns = Profiler::now_ns() - section_start;
-      std::vector<ProfWorkerStats> workers;
-      workers.reserve(utilization.size());
-      for (const WorkerUtilization& u : utilization) {
-        workers.push_back(ProfWorkerStats{u.busy_ns, u.tasks});
-      }
-      prof->set_utilization(workers, section_ns);
-    }
-  }
-  if (prof != nullptr) {
-    for (const Profiler& p : shard_profilers) prof->merge(p);
-  }
+  fan.run(
+      [&](std::size_t shard, ExperimentWorkspace& ws, Profiler* prof) {
+        shard_aggs[shard] = run_shard(spec, shard, &ws, prof);
+      },
+      [&](std::size_t shard, StateWriter& w) {
+        shard_aggs[shard].save_state(w);
+      },
+      [&](std::size_t shard, std::uint64_t wall_ns) {
+        ++shards_timed;
+        shard_wall_sum_ns += wall_ns;
+        shard_wall_max_ns = std::max(shard_wall_max_ns, wall_ns);
+        if (options.heartbeat != nullptr) {
+          progress.merge(shard_aggs[shard]);
+          options.heartbeat->sample(make_sample_locked());
+        }
+      });
 
   FleetResult result;
   result.shards_total = num_shards;
   {
-    const ScopedProfPhase merge_span(prof, ProfPhase::kFleetMerge);
+    const ScopedProfPhase merge_span(options.profiler, ProfPhase::kFleetMerge);
     for (std::uint64_t i = 0; i < num_shards; ++i) {
-      if (done[i] == 0) continue;
+      if (!fan.done(i)) continue;
       ++result.shards_done;
       result.aggregate.merge(shard_aggs[i]);
     }
     result.aggregate.compress();
   }
   if (options.heartbeat != nullptr) {
-    const std::lock_guard<std::mutex> lock(mu);
     options.heartbeat->finish(make_sample_locked());
   }
   return result;

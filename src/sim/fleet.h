@@ -17,7 +17,7 @@
 //   - Completed shards merge into the final aggregate in shard-index
 //     order, so the fleet result is bit-identical at every --jobs level.
 //   - Each completed shard's aggregate is canonicalized (compressed) and
-//     appended to a MXWEJRNL shard journal (sim/fleet_journal.h); a
+//     appended to a MXWEJRNL completion journal (sim/journal.h); a
 //     SIGKILLed campaign resumes by replaying the journal, re-running only
 //     the missing shards, and produces a byte-identical fleet result.
 //
@@ -39,7 +39,6 @@
 
 namespace nvmsec {
 
-class EnduranceMapCache;
 class EventLog;
 class HeartbeatSink;
 class Profiler;
@@ -199,17 +198,13 @@ struct FleetSpec {
 [[nodiscard]] std::uint64_t fleet_fingerprint(const FleetSpec& spec);
 
 struct FleetOptions {
-  /// Worker threads. 0 = all hardware threads, 1 = serial.
+  /// Worker threads. 0 = all hardware threads, 1 = serial. Fleet seeds
+  /// are all distinct, so no endurance-map cache is consulted; each worker
+  /// reuses its own workspace instead (in-place map rebuilds — see
+  /// ExperimentWorkspace).
   std::size_t jobs{1};
-  /// Honor an explicitly supplied `cache` below. Fleet seeds are all
-  /// distinct, so a shared endurance-map cache never hits within a
-  /// campaign; by default each worker instead reuses its own workspace
-  /// (in-place map rebuilds — see ExperimentWorkspace). Set `cache` only
-  /// to share maps with other campaigns in the same process.
-  bool use_cache{true};
-  EnduranceMapCache* cache{nullptr};
   /// Crash safety: append every completed shard's aggregate to this
-  /// MXWEJRNL journal file (sim/fleet_journal.h; O(shard) bytes per
+  /// MXWEJRNL journal file (sim/journal.h; O(shard) bytes per
   /// completion, torn tails self-heal on replay). Empty disables.
   std::string checkpoint_path;
   /// Replay completed shards from checkpoint_path and run only the rest.

@@ -1,30 +1,27 @@
 #include "sim/parallel.h"
 
-#include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "obs/observer.h"
 #include "obs/profiler.h"
-#include "sim/checkpoint.h"
 #include "sim/endurance_cache.h"
+#include "sim/fan_out.h"
 #include "util/serialize.h"
-#include "util/thread_pool.h"
 
 namespace nvmsec {
 
-std::size_t ParallelOptions::effective_jobs() const {
-  return jobs == 0 ? ThreadPool::hardware_workers() : jobs;
-}
-
 namespace {
+
+// Header fingerprint of every sweep journal: "MXWESWEP", little-endian.
+constexpr std::uint64_t kSweepJournalFingerprint = 0x504557534557584Dull;
 
 // jobs > 1 with the same sink object reachable from two runs would let two
 // threads write one MetricsRegistry/TraceWriter/SnapshotEmitter
 // concurrently; none of them are synchronized (by design — the serial hot
 // path pays no locks). Detect sharing up front and fail with advice.
-void reject_shared_sinks(std::span<const ExperimentConfig> configs) {
+void reject_shared_sinks(std::span<const ExperimentConfig> configs,
+                         bool check_profilers) {
   std::unordered_set<const void*> seen;
   const auto check = [&seen](const void* sink, const char* kind) {
     if (sink == nullptr) return;
@@ -41,7 +38,7 @@ void reject_shared_sinks(std::span<const ExperimentConfig> configs) {
     check(config.observer.trace, "trace");
     check(config.observer.snapshots, "snapshot");
     check(config.observer.events, "event-log");
-    check(config.observer.profiler, "profiler");
+    if (check_profilers) check(config.observer.profiler, "profiler");
   }
 }
 
@@ -81,72 +78,6 @@ Status load_result(StateReader& r, LifetimeResult& out) {
   return r.u64(out.cadence_changes);
 }
 
-/// Tracks which runs of a sweep have finished and mirrors them to a
-/// checkpoint file after every completion (atomic rewrite, so a SIGKILL at
-/// any moment leaves a loadable file covering every finished run).
-class SweepCheckpoint {
- public:
-  SweepCheckpoint(std::string path, std::span<const ExperimentConfig> configs,
-                  std::vector<LifetimeResult>& results)
-      : path_(std::move(path)), results_(results), done_(configs.size(), 0) {
-    fingerprints_.reserve(configs.size());
-    for (const ExperimentConfig& c : configs) {
-      fingerprints_.push_back(config_fingerprint(c));
-    }
-  }
-
-  /// Load previously finished runs; missing file = fresh start. Records
-  /// whose fingerprint does not match the current config are re-run.
-  void resume() {
-    Result<std::vector<std::uint8_t>> payload = load_checkpoint_file(path_);
-    if (!payload.ok() && payload.status().code() == StatusCode::kNotFound) {
-      return;
-    }
-    payload.status().throw_if_error();
-    StateReader r(payload.value());
-    std::uint64_t count = 0;
-    r.u64(count).throw_if_error();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      std::uint64_t index = 0;
-      std::uint64_t fingerprint = 0;
-      LifetimeResult result;
-      r.u64(index).throw_if_error();
-      r.u64(fingerprint).throw_if_error();
-      load_result(r, result).throw_if_error();
-      if (index < done_.size() && fingerprint == fingerprints_[index]) {
-        results_[index] = result;
-        done_[index] = 1;
-      }
-    }
-  }
-
-  [[nodiscard]] bool is_done(std::size_t i) const { return done_[i] != 0; }
-
-  /// Mark run `i` finished and rewrite the checkpoint file. Thread-safe.
-  void record(std::size_t i) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    done_[i] = 1;
-    StateWriter w;
-    std::uint64_t count = 0;
-    for (char d : done_) count += d != 0 ? 1 : 0;
-    w.u64(count);
-    for (std::size_t k = 0; k < done_.size(); ++k) {
-      if (done_[k] == 0) continue;
-      w.u64(k);
-      w.u64(fingerprints_[k]);
-      save_result(w, results_[k]);
-    }
-    save_checkpoint_file(path_, w.take()).throw_if_error();
-  }
-
- private:
-  std::string path_;
-  std::vector<LifetimeResult>& results_;
-  std::vector<char> done_;
-  std::vector<std::uint64_t> fingerprints_;
-  std::mutex mu_;
-};
-
 }  // namespace
 
 std::vector<LifetimeResult> run_experiments(
@@ -155,93 +86,56 @@ std::vector<LifetimeResult> run_experiments(
   std::vector<LifetimeResult> results(configs.size());
   if (configs.empty()) return results;
 
-  std::unique_ptr<SweepCheckpoint> checkpoint;
-  if (!options.checkpoint_path.empty()) {
-    checkpoint = std::make_unique<SweepCheckpoint>(options.checkpoint_path,
-                                                   configs, results);
-    if (options.resume) checkpoint->resume();
-  } else if (options.resume) {
-    throw std::invalid_argument(
-        "run_experiments: resume needs a checkpoint_path to resume from");
+  FanOutOptions fan_options;
+  fan_options.jobs = options.jobs;
+  fan_options.journal_path = options.checkpoint_path;
+  fan_options.resume = options.resume;
+  fan_options.fingerprint = kSweepJournalFingerprint;
+  fan_options.profiler = options.profiler;
+  // A record is (config fingerprint, result); one written for a config
+  // that has since changed, or for an index past the sweep, is re-run.
+  FanOut fan(configs.size(), std::move(fan_options),
+             [&](std::uint64_t i, StateReader& r) {
+               std::uint64_t fingerprint = 0;
+               r.u64(fingerprint).throw_if_error();
+               if (i >= configs.size() ||
+                   fingerprint != config_fingerprint(configs[i])) {
+                 return false;
+               }
+               load_result(r, results[i]).throw_if_error();
+               return true;
+             });
+
+  // Above one worker the process-global cache shares endurance maps across
+  // runs with the same (geometry, endurance, seed, jitter).
+  EnduranceMapCache* cache = nullptr;
+  if (fan.workers() > 1) {
+    // A profiled sweep gives every run a private profiler, so only the
+    // configs' own profilers can be shared.
+    reject_shared_sinks(configs, options.profiler == nullptr);
+    cache = &EnduranceMapCache::global();
   }
-  const auto skip = [&checkpoint](std::size_t i) {
-    return checkpoint != nullptr && checkpoint->is_done(i);
-  };
-  const auto record = [&checkpoint](std::size_t i) {
-    if (checkpoint != nullptr) checkpoint->record(i);
-  };
-
-  const std::size_t jobs =
-      std::min(options.effective_jobs(), configs.size());
-  if (jobs <= 1) {
-    // Today's exact serial path: one thread, maps rebuilt per run. The
-    // single profiler (when requested) is written by this thread only.
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (skip(i)) continue;
-      if (options.profiler != nullptr) {
-        ExperimentConfig profiled = configs[i];
-        profiled.observer.profiler = options.profiler;
-        results[i] = run_experiment(profiled);
-      } else {
-        results[i] = run_experiment(configs[i]);
-      }
-      record(i);
-    }
-    return results;
-  }
-
-  // Profiled sweeps give every run a private Profiler (no locks on the hot
-  // path) and merge them into options.profiler in input order after the
-  // join; the original configs are never mutated.
-  std::vector<Profiler> run_profilers;
-  std::vector<ExperimentConfig> profiled_configs;
-  std::span<const ExperimentConfig> effective = configs;
-  if (options.profiler != nullptr) {
-    run_profilers.resize(configs.size());
-    profiled_configs.assign(configs.begin(), configs.end());
-    for (std::size_t i = 0; i < profiled_configs.size(); ++i) {
-      profiled_configs[i].observer.profiler = &run_profilers[i];
-    }
-    effective = profiled_configs;
-  }
-
-  reject_shared_sinks(effective);
-  EnduranceMapCache* cache =
-      options.use_cache
-          ? (options.cache != nullptr ? options.cache
-                                      : &EnduranceMapCache::global())
-          : nullptr;
-
-  // The calling thread drives alongside the pool inside parallel_for_each,
-  // so `jobs` total threads do experiment work.
-  ThreadPool pool(jobs - 1);
-  std::vector<WorkerUtilization> utilization;
-  const std::uint64_t section_start = Profiler::now_ns();
   const std::uint64_t cache_evictions_before =
       cache != nullptr ? cache->evictions() : 0;
-  pool.parallel_for_each(
-      effective.size(),
-      [&](std::size_t i) {
-        if (skip(i)) return;
-        results[i] = run_experiment(effective[i], cache);
-        record(i);
+  fan.run(
+      [&](std::size_t i, ExperimentWorkspace& ws, Profiler* prof) {
+        if (prof != nullptr) {
+          ExperimentConfig profiled = configs[i];
+          profiled.observer.profiler = prof;
+          results[i] = run_experiment(profiled, cache, &ws);
+        } else {
+          results[i] = run_experiment(configs[i], cache, &ws);
+        }
       },
-      options.profiler != nullptr ? &utilization : nullptr);
-  if (options.profiler != nullptr) {
-    const std::uint64_t section_ns = Profiler::now_ns() - section_start;
-    for (const Profiler& p : run_profilers) options.profiler->merge(p);
-    std::vector<ProfWorkerStats> workers;
-    workers.reserve(utilization.size());
-    for (const WorkerUtilization& u : utilization) {
-      workers.push_back(ProfWorkerStats{u.busy_ns, u.tasks});
-    }
-    options.profiler->set_utilization(workers, section_ns);
-    if (cache != nullptr) {
-      // hit/miss per run already came through the merge; evictions are a
-      // cache-wide property only the sweep level can see.
-      options.profiler->add(ProfCounter::kEnduranceCacheEvict,
-                            cache->evictions() - cache_evictions_before);
-    }
+      [&](std::size_t i, StateWriter& w) {
+        w.u64(config_fingerprint(configs[i]));
+        save_result(w, results[i]);
+      });
+  if (options.profiler != nullptr && cache != nullptr) {
+    // hit/miss per run already came through the merge; evictions are a
+    // cache-wide property only the sweep level can see.
+    options.profiler->add(ProfCounter::kEnduranceCacheEvict,
+                          cache->evictions() - cache_evictions_before);
   }
   return results;
 }

@@ -3,9 +3,11 @@
 // serial path.
 //
 // Why this is safe: `run_experiment` is self-contained — every run derives
-// all randomness from its own `Rng(config.seed)`, owns its device, attack,
-// wear leveler and spare scheme, and shares only the immutable endurance
-// map (via EnduranceMapCache). There is no global state to race on, so the
+// all randomness from its own `Rng(config.seed)`, owns its attack and wear
+// leveler, takes its device and spare scheme from its worker's
+// ExperimentWorkspace (recycled storage, bit-identical to fresh
+// construction), and shares only the immutable endurance map (via
+// EnduranceMapCache). There is no global state to race on, so the
 // only ordering that matters is the reduction order of whoever consumes
 // the results — which is why this API returns a vector in input order and
 // leaves reductions (RunningStats etc.) to the caller's thread.
@@ -27,25 +29,22 @@
 
 namespace nvmsec {
 
-class EnduranceMapCache;
 class Profiler;
 
 struct ParallelOptions {
   /// Worker threads doing experiment work. 0 = all hardware threads
   /// (ThreadPool::hardware_workers()). 1 = strictly serial on the calling
-  /// thread, today's exact single-threaded code path (no pool, no cache).
-  std::size_t jobs{0};
-  /// Share endurance maps across runs with identical (geometry, endurance,
+  /// thread (no pool). Every worker reuses one ExperimentWorkspace across
+  /// its runs; above one worker the process-global EnduranceMapCache also
+  /// shares endurance maps across runs with identical (geometry, endurance,
   /// seed, jitter) — see sim/endurance_cache.h for the determinism
-  /// contract. Ignored (off) when jobs == 1.
-  bool use_cache{true};
-  /// Cache to use; nullptr = the process-global EnduranceMapCache.
-  EnduranceMapCache* cache{nullptr};
+  /// contract.
+  std::size_t jobs{0};
 
-  /// Sweep-level crash safety: after every completed run, atomically
-  /// rewrite this file with all finished (index, fingerprint, result)
-  /// records. Empty disables. Independent of — and composable with — the
-  /// per-run engine checkpoints in ExperimentConfig.
+  /// Sweep-level crash safety: append every completed run's (config
+  /// fingerprint, result) record to this MXWEJRNL completion journal
+  /// (sim/journal.h). Empty disables. Independent of — and composable
+  /// with — the per-run engine checkpoints in ExperimentConfig.
   std::string checkpoint_path;
   /// Prefill results from checkpoint_path (when the file exists) and skip
   /// the runs already recorded there. A record whose config fingerprint no
@@ -53,15 +52,13 @@ struct ParallelOptions {
   bool resume{false};
 
   /// Aggregate self-profile for the whole sweep; nullptr = no profiling.
-  /// At jobs > 1 every run records into its own private Profiler and the
-  /// per-run instances are merged into this one in input order after the
-  /// join (merge is associative and commutative, so the result does not
-  /// depend on scheduling); pool worker utilization for the sweep section
-  /// is attached too. Configs must not carry their own observer.profiler
-  /// when this is set — the runner overwrites that field.
+  /// Every run records into its own private Profiler and the per-run
+  /// instances are merged into this one in input order after the join
+  /// (merge is associative and commutative, so the result does not depend
+  /// on scheduling); worker utilization for the sweep section is attached
+  /// too. Configs must not carry their own observer.profiler when this is
+  /// set — the runner overwrites that field.
   Profiler* profiler{nullptr};
-
-  [[nodiscard]] std::size_t effective_jobs() const;
 };
 
 /// Run every config and return their LifetimeResults in input order.

@@ -1,5 +1,5 @@
-// Fixed-size worker pool with a task queue, used by the parallel experiment
-// runner (sim/parallel.h).
+// Fixed-size worker pool with a task queue, used by the sweep and fleet
+// fan-out (sim/fan_out.h).
 //
 // Design constraints, in order:
 //   1. Determinism lives above the pool. The pool promises nothing about

@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.h"
 #include "sim/experiment.h"
+#include "sim/fleet.h"
+#include "sim/journal.h"
 #include "sim/parallel.h"
 
 namespace nvmsec {
@@ -102,6 +105,23 @@ TEST(CheckpointFileTest, FlippedPayloadByteIsCrcCorruption) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_NE(r.status().message().find("CRC"), std::string::npos);
+}
+
+TEST(CheckpointFileTest, HugeDeclaredSizeIsCorruptionNotOverflow) {
+  // size + 4 wraps to 2 for this declared size; the loader must still see
+  // that 8 payload bytes cannot hold it instead of allocating 2^64 bytes.
+  std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  const std::uint32_t version = kCheckpointVersion;
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<char>((version >> (8 * i)) & 0xff));
+  }
+  bytes += std::string(1, '\xFE') + std::string(7, '\xFF');
+  bytes += std::string(8, '\x00');  // payload bytes actually present
+  const std::string path = write_raw("ckpt_huge_size.bin", bytes);
+  const Result<std::vector<std::uint8_t>> r = load_checkpoint_file(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(r.status().message().find("truncated"), std::string::npos);
 }
 
 ExperimentConfig maxwe_config() {
@@ -249,6 +269,150 @@ TEST(SweepCheckpointTest, ResumeSkipsRecordedRunsAndMatchesResults) {
   EXPECT_DOUBLE_EQ(third[0].user_writes, first[0].user_writes);
   EXPECT_NE(third[1].user_writes, first[1].user_writes);
   EXPECT_DOUBLE_EQ(third[2].user_writes, first[2].user_writes);
+}
+
+std::vector<ExperimentConfig> seed_sweep(std::uint64_t runs) {
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= runs; ++seed) {
+    ExperimentConfig c = maxwe_config();
+    c.seed = seed;
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+/// What run_experiments threw, or "" when it did not throw.
+std::string sweep_error(const std::vector<ExperimentConfig>& configs,
+                        const ParallelOptions& options) {
+  try {
+    (void)run_experiments(configs, options);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SweepCheckpointTest, JournalHoldsOneRecordPerRun) {
+  const std::string path = ::testing::TempDir() + "/sweep_records.jrnl";
+  fs::remove(path);
+  const std::vector<ExperimentConfig> configs = seed_sweep(4);
+  ParallelOptions options;
+  options.jobs = 2;
+  options.checkpoint_path = path;
+  (void)run_experiments(configs, options);
+
+  // Header plus one record per run, each index exactly once: nothing is
+  // rewritten as later runs finish.
+  const std::string bytes = slurp(path);
+  ASSERT_GE(bytes.size(), 20u);
+  EXPECT_EQ(bytes.substr(0, 8), "MXWEJRNL");
+  std::uint64_t header_fingerprint = 0;
+  for (int i = 0; i < 8; ++i) {
+    header_fingerprint |=
+        std::uint64_t{static_cast<unsigned char>(bytes[12 + i])} << (8 * i);
+  }
+  const Result<std::vector<JournalRecord>> records =
+      Journal::replay(path, header_fingerprint);
+  ASSERT_TRUE(records.ok()) << records.status().to_string();
+  std::vector<int> seen(configs.size(), 0);
+  std::size_t framed_bytes = 20;
+  for (const JournalRecord& rec : records.value()) {
+    ASSERT_LT(rec.index, seen.size());
+    ++seen[rec.index];
+    framed_bytes += 16 + rec.payload.size();
+  }
+  EXPECT_EQ(seen, std::vector<int>(configs.size(), 1));
+  EXPECT_EQ(framed_bytes, bytes.size());
+}
+
+TEST(SweepCheckpointTest, TornTailRerunsExactlyTheTornRun) {
+  const std::string path = ::testing::TempDir() + "/sweep_torn.jrnl";
+  fs::remove(path);
+  const std::vector<ExperimentConfig> configs = seed_sweep(3);
+  ParallelOptions options;
+  options.jobs = 1;
+  options.checkpoint_path = path;
+  const std::vector<LifetimeResult> first = run_experiments(configs, options);
+
+  // A SIGKILL mid-append leaves the last record (run 2 at jobs 1) torn.
+  fs::resize_file(path, fs::file_size(path) - 5);
+
+  Profiler prof;
+  options.resume = true;
+  options.profiler = &prof;
+  const std::vector<LifetimeResult> resumed =
+      run_experiments(configs, options);
+  EXPECT_EQ(prof.phase(ProfPhase::kExperimentSetup).count, 1u);
+  ASSERT_EQ(resumed.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_DOUBLE_EQ(resumed[i].user_writes, first[i].user_writes);
+    EXPECT_EQ(resumed[i].line_deaths, first[i].line_deaths);
+    EXPECT_EQ(resumed[i].failure_reason, first[i].failure_reason);
+  }
+
+  // The healed journal now covers every run: nothing left to re-run.
+  Profiler again;
+  options.profiler = &again;
+  (void)run_experiments(configs, options);
+  EXPECT_EQ(again.phase(ProfPhase::kExperimentSetup).count, 0u);
+}
+
+TEST(SweepCheckpointTest, LegacyCheckpointFileIsVersionMismatch) {
+  const std::string path = ::testing::TempDir() + "/sweep_legacy.ckpt";
+  ASSERT_TRUE(save_checkpoint_file(path, sample_payload()).ok());
+  ParallelOptions options;
+  options.jobs = 1;
+  options.checkpoint_path = path;
+  options.resume = true;
+  const std::string error = sweep_error(seed_sweep(1), options);
+  EXPECT_EQ(error.rfind("version mismatch", 0), 0u) << error;
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("MXWECKPT"), std::string::npos) << error;
+}
+
+FleetSpec small_fleet() {
+  FleetSpec spec;
+  spec.devices = 8;
+  spec.shard_size = 4;
+  spec.base.geometry = DeviceGeometry::scaled(256, 16);
+  spec.base.endurance.endurance_at_mean = 100;
+  spec.base.spare_scheme = "maxwe";
+  return spec;
+}
+
+TEST(SweepCheckpointTest, SweepRefusesAFleetJournal) {
+  const std::string path = ::testing::TempDir() + "/fleet_for_sweep.jrnl";
+  fs::remove(path);
+  FleetOptions fleet;
+  fleet.checkpoint_path = path;
+  (void)run_fleet(small_fleet(), fleet);
+
+  ParallelOptions options;
+  options.jobs = 1;
+  options.checkpoint_path = path;
+  options.resume = true;
+  const std::string error = sweep_error(seed_sweep(1), options);
+  EXPECT_EQ(error.rfind("failed precondition", 0), 0u) << error;
+}
+
+TEST(SweepCheckpointTest, FleetRefusesASweepJournal) {
+  const std::string path = ::testing::TempDir() + "/sweep_for_fleet.jrnl";
+  fs::remove(path);
+  ParallelOptions options;
+  options.jobs = 1;
+  options.checkpoint_path = path;
+  (void)run_experiments(seed_sweep(1), options);
+
+  FleetOptions fleet;
+  fleet.checkpoint_path = path;
+  fleet.resume = true;
+  try {
+    (void)run_fleet(small_fleet(), fleet);
+    FAIL() << "expected the fleet to refuse a sweep journal";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("failed precondition", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(SweepCheckpointTest, ResumeWithoutPathIsRejected) {

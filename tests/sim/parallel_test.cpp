@@ -38,7 +38,6 @@ void expect_matches_serial(const std::vector<ExperimentConfig>& configs,
 ParallelOptions four_jobs() {
   ParallelOptions options;
   options.jobs = 4;
-  options.cache = nullptr;
   return options;
 }
 
@@ -206,10 +205,14 @@ TEST(RunExperimentsTest, PerRunObserversAllowedWhenParallel) {
 }
 
 TEST(RunExperimentsTest, ExplicitCacheIsUsedAndStillBitIdentical) {
-  EnduranceMapCache cache(8);
+  // Parallel sweeps source their maps from the process-global cache; start
+  // it empty and count hits and misses from here on.
+  EnduranceMapCache& cache = EnduranceMapCache::global();
+  cache.clear();
+  const std::uint64_t hits_before = cache.hits();
+  const std::uint64_t misses_before = cache.misses();
   ParallelOptions options;
   options.jobs = 4;
-  options.cache = &cache;
 
   std::vector<ExperimentConfig> configs;
   for (double fraction : {0.10, 0.20, 0.30}) {
@@ -228,12 +231,12 @@ TEST(RunExperimentsTest, ExplicitCacheIsUsedAndStillBitIdentical) {
   for (std::uint64_t seed : {1, 2}) {
     cache.get_or_build(configs[0].geometry, configs[0].endurance, seed, 0.0);
   }
-  ASSERT_EQ(cache.misses(), 2u);
+  ASSERT_EQ(cache.misses() - misses_before, 2u);
 
   expect_matches_serial(configs, options);
   // 3 fractions x 2 seeds share the 2 prewarmed maps: all hits, no builds.
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 6u);
+  EXPECT_EQ(cache.misses() - misses_before, 2u);
+  EXPECT_EQ(cache.hits() - hits_before, 6u);
   EXPECT_EQ(cache.size(), 2u);
 }
 

@@ -140,7 +140,8 @@ int main(int argc, char** argv) {
   cli.add_flag("checkpoint-out",
                "crash-safe checkpoint file: engine state every "
                "--checkpoint-interval writes (single stochastic run), or "
-               "completed-run records (--seeds/--banks sweeps)", "");
+               "an append-only journal of completed runs (--seeds/--banks "
+               "sweeps)", "");
   cli.add_flag("checkpoint-interval",
                "user writes between engine checkpoints (single stochastic "
                "run; 0 = off)", "0");
