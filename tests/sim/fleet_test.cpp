@@ -402,6 +402,33 @@ TEST(FleetRunner, WearGiniIsTrackedForEventEngine) {
 }
 
 
+// Checkpoints, sweep journals and fleet journals carry these fingerprints,
+// so a file written by an earlier build resumes only while they stay put:
+// any change to how they are hashed must keep these constants.
+TEST(ConfigFingerprint, PinnedSoSavedCheckpointsResume) {
+  EXPECT_EQ(config_fingerprint(ExperimentConfig{}), 0x9a09221cfd90db6cULL);
+  ExperimentConfig config = scaled_stochastic_config(2048, 128, 2000);
+  config.attack = "bpa";
+  config.wear_leveler = "tlsr";
+  config.spare_scheme = "maxwe";
+  config.line_jitter_sigma = 0.2;
+  config.seed = 12345;
+  config.detect = true;
+  config.fault.device.stuck_at_lines = 3;
+  EXPECT_EQ(config_fingerprint(config), 0xb9c9ec14346cd1eaULL);
+}
+
+TEST(FleetFingerprint, PinnedSoSavedJournalsResume) {
+  const FleetSpec base = small_spec();
+  EXPECT_EQ(fleet_fingerprint(base), 0x034d39c81e60bd21ULL);
+  // Covers the mix's names and weights and the folded-in fastpath flag.
+  FleetSpec mix = base;
+  mix.base.mode = SimulationMode::kStochastic;
+  mix.base.fastpath = false;
+  mix.attack_mix = {{"uaa", 0.7}, {"zipf", 0.3}};
+  EXPECT_EQ(fleet_fingerprint(mix), 0x5cf763363ad7f543ULL);
+}
+
 TEST(FleetSamplingContract, WeakestContractAcrossMixWins) {
   FleetSpec spec = small_spec();
   EXPECT_EQ(fleet_sampling_contract(spec), BatchContract::kBitIdentical);
