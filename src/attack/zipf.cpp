@@ -20,9 +20,9 @@ std::vector<double> zipf_weights(double s, std::uint64_t n) {
   return w;
 }
 
-/// LRU cache of immutable ZipfDist instances (endurance-cache idiom: mutex
-/// + MRU-first list with linear scan — entries number in the tens and a
-/// lookup is orders of magnitude cheaper than the build it replaces).
+/// LRU cache of immutable ZipfDist instances (mutex + MRU-first list with
+/// linear scan — entries number in the tens and a lookup is orders of
+/// magnitude cheaper than the build it replaces).
 class ZipfDistCache {
  public:
   std::shared_ptr<const ZipfDist> get_or_build(double s,

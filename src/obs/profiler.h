@@ -68,9 +68,6 @@ enum class ProfCounter : std::uint8_t {
   kResolveCacheHit = 0,  // translate-compose-resolve cache hits
   kResolveCacheMiss,
   kResolveCacheFlush,    // epoch bumps (remap/rescue invalidations)
-  kEnduranceCacheHit,    // endurance-map cache hits (per experiment)
-  kEnduranceCacheMiss,
-  kEnduranceCacheEvict,
   kBufferHit,            // DRAM-buffer write hits
   kBufferMiss,
   kBufferEvict,          // evictions written back to the device

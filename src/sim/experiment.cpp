@@ -17,7 +17,6 @@
 #include "nvm/device.h"
 #include "sim/bit_engine.h"
 #include "sim/checkpoint.h"
-#include "sim/endurance_cache.h"
 #include "sim/engine.h"
 #include "sim/event_sim.h"
 #include "spare/spare_scheme.h"
@@ -165,28 +164,8 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
   w.u32(config.adaptive_policy.max_steps);
   w.u32(config.adaptive_policy.hold_windows);
   w.u32(config.adaptive_policy.relax_windows);
-  // FNV-1a over the canonical little-endian encoding above.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : w.buffer()) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return w.fnv1a();
 }
-
-LifetimeResult run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, nullptr, nullptr);
-}
-
-LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache) {
-  return run_experiment(config, cache, nullptr);
-}
-
-ExperimentWorkspace::ExperimentWorkspace() = default;
-ExperimentWorkspace::~ExperimentWorkspace() = default;
-
-namespace {
 
 const char* mode_name(SimulationMode mode) {
   switch (mode) {
@@ -197,7 +176,8 @@ const char* mode_name(SimulationMode mode) {
   return "unknown";
 }
 
-}  // namespace
+ExperimentWorkspace::ExperimentWorkspace() = default;
+ExperimentWorkspace::~ExperimentWorkspace() = default;
 
 std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
     const ExperimentConfig& config, Rng& rng) {
@@ -209,7 +189,7 @@ std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
   // escaped — fall back to a fresh allocation rather than mutate shared
   // state under someone's feet.
   const long expected_refs =
-      1 + (spare_on_map_ ? 1 : 0) + (device_on_map_ ? 1 : 0);
+      1 + (spare_ != nullptr ? 1 : 0) + (device_on_map_ ? 1 : 0);
   const bool reusable = map_ != nullptr &&
                         map_->geometry().num_lines() == g.num_lines() &&
                         map_->geometry().num_regions() == g.num_regions() &&
@@ -224,7 +204,6 @@ std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
   } else {
     map_ = std::make_shared<EnduranceMap>(
         EnduranceMap::from_model(g, model, rng));
-    spare_on_map_ = false;
     device_on_map_ = false;
   }
   if (config.line_jitter_sigma > 0) {
@@ -233,9 +212,8 @@ std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
   return map_;
 }
 
-SpareScheme* ExperimentWorkspace::acquire_spare(
-    const ExperimentConfig& config,
-    const std::shared_ptr<const EnduranceMap>& map, Rng& rng) {
+SpareScheme* ExperimentWorkspace::acquire_spare(const ExperimentConfig& config,
+                                                Rng& rng) {
   // Reuse requires the same construction key AND a scheme that supports
   // rebinding. A failed rebind has not touched the RNG stream, so falling
   // through to fresh construction stays bit-identical.
@@ -243,16 +221,15 @@ SpareScheme* ExperimentWorkspace::acquire_spare(
                          spare_name_ == config.spare_scheme &&
                          spare_fraction_ == config.spare_fraction &&
                          swr_fraction_ == config.swr_fraction;
-  if (!key_match || !spare_->rebind(map, rng)) {
+  if (!key_match || !spare_->rebind(map_, rng)) {
     // Free the old scheme before the new one allocates its tables, so two
     // schemes are never resident at once.
     spare_.reset();
-    spare_ = build_spare_scheme(config, map, rng);
+    spare_ = build_spare_scheme(config, map_, rng);
     spare_name_ = config.spare_scheme;
     spare_fraction_ = config.spare_fraction;
     swr_fraction_ = config.swr_fraction;
   }
-  spare_on_map_ = map.get() == map_.get();
   return spare_.get();
 }
 
@@ -268,9 +245,10 @@ Device* ExperimentWorkspace::acquire_device(
 }
 
 LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache,
                               ExperimentWorkspace* workspace) {
   validate_robustness_config(config);
+  ExperimentWorkspace run_local;
+  ExperimentWorkspace& ws = workspace == nullptr ? run_local : *workspace;
   if (config.observer.events != nullptr) {
     // First event of every run; a resumed run re-emits it, but the engine
     // rewinds the log to the checkpoint offset before continuing, so the
@@ -300,47 +278,15 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
   }
   Rng rng(config.seed);
 
-  // Everything between here and the engine's run() is "setup": map build
-  // (or cache hit), scheme/attack/leveler construction. The span is closed
-  // before run() so setup and run never overlap in the profile.
+  // Everything between here and the engine's run() is "setup": map build,
+  // scheme/attack/leveler construction. The span is closed before run() so
+  // setup and run never overlap in the profile.
   Profiler* const prof = config.observer.profiler;
   std::optional<ScopedProfPhase> setup_span;
   setup_span.emplace(prof, ProfPhase::kExperimentSetup);
 
-  std::shared_ptr<const EnduranceMap> map;
-  if (cache != nullptr) {
-    EnduranceMapCache::BuiltMap built =
-        cache->get_or_build(config.geometry, config.endurance, config.seed,
-                            config.line_jitter_sigma);
-    map = std::move(built.map);
-    // Continue the seed's stream from where map construction left it; this
-    // is what keeps cached and cold runs bit-identical (the spare schemes
-    // draw from the same rng next).
-    rng = built.rng_after_build;
-    if (prof != nullptr) {
-      prof->add(built.hit ? ProfCounter::kEnduranceCacheHit
-                          : ProfCounter::kEnduranceCacheMiss);
-    }
-  } else if (workspace != nullptr) {
-    map = workspace->acquire_map(config, rng);
-  } else {
-    const EnduranceModel model(config.endurance);
-    auto fresh = std::make_shared<EnduranceMap>(
-        EnduranceMap::from_model(config.geometry, model, rng));
-    if (config.line_jitter_sigma > 0) {
-      fresh->apply_line_jitter(config.line_jitter_sigma, rng);
-    }
-    map = std::move(fresh);
-  }
-
-  std::unique_ptr<SpareScheme> owned_spare;
-  SpareScheme* spare = nullptr;
-  if (workspace != nullptr) {
-    spare = workspace->acquire_spare(config, map, rng);
-  } else {
-    owned_spare = build_spare_scheme(config, map, rng);
-    spare = owned_spare.get();
-  }
+  const std::shared_ptr<const EnduranceMap> map = ws.acquire_map(config, rng);
+  SpareScheme* const spare = ws.acquire_spare(config, rng);
 
   // Device faults live in a copy of the map: the spare scheme and wear
   // leveler above planned on the clean manufacture-time characterization,
@@ -371,7 +317,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
           "stochastic mode to include wear-leveler overhead");
     }
     UniformEventSimulator sim(device_map, *spare);
-    if (workspace != nullptr) sim.set_scratch(&workspace->arena());
+    sim.set_scratch(&ws.arena());
     // The event engine bulk-advances any *stationary* per-index write-rate
     // vector (the mean-field limit of the stochastic sampling): uniform for
     // uaa/random, a hot working set for hotspot, the scattered skew for
@@ -479,15 +425,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
     return engine.run(config.max_user_writes);
   }
 
-  std::optional<Device> local_device;
-  Device* device = nullptr;
-  if (workspace != nullptr) {
-    device = workspace->acquire_device(device_map);
-  } else {
-    local_device.emplace(device_map);
-    device = &*local_device;
-  }
-  Engine engine(*device, *attack, *wl, *spare, rng);
+  Engine engine(*ws.acquire_device(device_map), *attack, *wl, *spare, rng);
   engine.set_fast_path(config.fastpath);
   engine.set_observer(config.observer);
   std::unique_ptr<DramBuffer> buffer;

@@ -38,6 +38,10 @@ enum class SimulationMode {
   kBitLevel,
 };
 
+/// "stochastic", "event" or "bit": the mode's name in event logs and fleet
+/// results.
+[[nodiscard]] const char* mode_name(SimulationMode mode);
+
 struct ExperimentConfig {
   DeviceGeometry geometry{DeviceGeometry::paper_1gb()};
   EnduranceModelParams endurance{};
@@ -139,12 +143,6 @@ struct ExperimentConfig {
   [[nodiscard]] std::uint64_t spare_lines() const;
 };
 
-/// Run one experiment end to end. Throws std::invalid_argument for
-/// inconsistent configs (e.g. event mode with a non-uniform attack) and
-/// std::runtime_error (carrying a Status string) when a resume checkpoint
-/// is missing, corrupt, or from a different configuration.
-LifetimeResult run_experiment(const ExperimentConfig& config);
-
 /// Stable 64-bit fingerprint of every field that shapes the simulation
 /// trajectory (geometry, endurance model, seed, attack, leveler, scheme,
 /// fault plan, ...). Embedded in checkpoints so resume can refuse a file
@@ -153,29 +151,29 @@ LifetimeResult run_experiment(const ExperimentConfig& config);
 /// stands in for share a trajectory, so they must share a fingerprint.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExperimentConfig& config);
 
-class EnduranceMapCache;
+class ExperimentWorkspace;
 
-/// Same run, but source the endurance map from `cache` (see
-/// sim/endurance_cache.h). Bit-identical to the plain overload at any hit
-/// rate: the cache replays the post-map RNG state, so every subsequent draw
-/// (spare-scheme placement, attack, engine) is unchanged. nullptr falls
-/// back to the plain overload.
+/// Run one experiment end to end, building its endurance map, spare scheme,
+/// device and engine scratch in `workspace` (nullptr = a run-local one).
+/// Throws std::invalid_argument for inconsistent configs (e.g. event mode
+/// with a non-uniform attack) and std::runtime_error (carrying a Status
+/// string) when a resume checkpoint is missing, corrupt, or from a
+/// different configuration.
 LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache);
+                              ExperimentWorkspace* workspace = nullptr);
 
-/// Reusable per-worker state for back-to-back run_experiment calls — the
-/// setup-amortization unit of every fan-out runner (sweeps and fleets
-/// alike, see sim/fan_out.h). Holds the heavy objects one run constructs
-/// and the next run of the same shape can recycle:
+/// Per-run object slots for run_experiment, reusable across back-to-back
+/// runs — the setup-amortization unit of every fan-out runner (sweeps and
+/// fleets alike, see sim/fan_out.h). Holds the heavy objects one run
+/// constructs and the next run of the same shape can recycle:
 /// the endurance map (rebuilt in place with identical RNG draws), the
 /// spare scheme (rebound via SpareScheme::rebind when the scheme supports
 /// it), the Device wear state, and a bump arena for engine scratch.
 ///
-/// Strictly an allocation strategy: run_experiment(config, cache, ws) is
-/// bit-identical to run_experiment(config, cache) for every config, and a
-/// workspace may be handed configs of different shapes — anything that
-/// cannot be recycled is rebuilt fresh. Not thread-safe; one workspace per
-/// worker.
+/// Strictly an allocation strategy: a run is bit-identical whether its
+/// workspace is fresh or reused, and a workspace may be handed configs of
+/// different shapes — anything that cannot be recycled is rebuilt fresh.
+/// Not thread-safe; one workspace per worker.
 class ExperimentWorkspace {
  public:
   ExperimentWorkspace();
@@ -187,7 +185,6 @@ class ExperimentWorkspace {
 
  private:
   friend LifetimeResult run_experiment(const ExperimentConfig& config,
-                                       EnduranceMapCache* cache,
                                        ExperimentWorkspace* workspace);
 
   /// Slot acquisition used by run_experiment. Each returns an object
@@ -195,32 +192,25 @@ class ExperimentWorkspace {
   /// when the previous run left it in a compatible, exclusively-held state.
   std::shared_ptr<const EnduranceMap> acquire_map(const ExperimentConfig& config,
                                                   Rng& rng);
-  SpareScheme* acquire_spare(const ExperimentConfig& config,
-                             const std::shared_ptr<const EnduranceMap>& map,
-                             Rng& rng);
+  SpareScheme* acquire_spare(const ExperimentConfig& config, Rng& rng);
   Device* acquire_device(std::shared_ptr<const EnduranceMap> device_map);
 
   Arena arena_;
   /// Owned endurance-map slot, rebuilt in place between runs when the
   /// geometry matches and no one else retained a reference.
   std::shared_ptr<EnduranceMap> map_;
-  /// Spare-scheme slot plus the construction key it was built with.
+  /// Spare-scheme slot (always built on map_) plus the construction key it
+  /// was built with.
   std::unique_ptr<SpareScheme> spare_;
   std::string spare_name_;
   double spare_fraction_{-1.0};
   double swr_fraction_{-1.0};
-  bool spare_on_map_{false};   ///< spare_ holds a reference to map_
   /// Device slot (stochastic mode), rebound to each run's map.
   std::unique_ptr<Device> device_;
-  bool device_on_map_{false};  ///< device_ holds a reference to map_
+  /// device_ holds a reference to map_ (false when device faults gave it a
+  /// copy).
+  bool device_on_map_{false};
 };
-
-/// Same run again, recycling `workspace`'s objects where the config shape
-/// allows (nullptr = the plain cache overload). Bit-identical to the other
-/// overloads in every case.
-LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache,
-                              ExperimentWorkspace* workspace);
 
 /// Paper §5.1's scaled-down stochastic configuration used by the BPA
 /// benches and integration tests: `num_lines` lines, `num_regions` regions,

@@ -263,19 +263,6 @@ void validate_spec(const FleetSpec& spec) {
   }
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv_mix(h, &v, sizeof(v));
-}
-
 }  // namespace
 
 const std::string& fleet_device_attack(const FleetSpec& spec,
@@ -330,16 +317,17 @@ std::uint64_t fleet_fingerprint(const FleetSpec& spec) {
   ExperimentConfig canonical = spec.base;
   canonical.seed = 0;
   if (!spec.attack_mix.empty()) canonical.attack = "";
-  std::uint64_t h = fnv_mix_u64(14695981039346656037ULL,
-                                config_fingerprint(canonical));
-  h = fnv_mix_u64(h, spec.devices);
-  h = fnv_mix_u64(h, spec.seed_start);
-  h = fnv_mix_u64(h, spec.shard_size);
-  h = fnv_mix_u64(h, spec.event_log_max_events);
-  h = fnv_mix_u64(h, spec.attack_mix.size());
+  StateWriter w;
+  w.u64(config_fingerprint(canonical));
+  w.u64(spec.devices);
+  w.u64(spec.seed_start);
+  w.u64(spec.shard_size);
+  w.u64(spec.event_log_max_events);
+  w.u64(spec.attack_mix.size());
   for (const AttackShare& share : spec.attack_mix) {
-    h = fnv_mix(h, share.attack.data(), share.attack.size());
-    h = fnv_mix_u64(h, std::bit_cast<std::uint64_t>(share.weight));
+    // Bare name bytes, no length prefix: saved journals carry this hash.
+    for (const char c : share.attack) w.u8(static_cast<std::uint8_t>(c));
+    w.f64(share.weight);
   }
   // Sampling-contract compatibility: when any attack in the population is
   // not bit-identical under batching, a stochastic-mode campaign's
@@ -349,9 +337,9 @@ std::uint64_t fleet_fingerprint(const FleetSpec& spec) {
   // checkpoints interchange across fastpath on/off.
   if (spec.base.mode == SimulationMode::kStochastic &&
       fleet_sampling_contract(spec) != BatchContract::kBitIdentical) {
-    h = fnv_mix_u64(h, spec.base.fastpath ? 1 : 0);
+    w.u64(spec.base.fastpath ? 1 : 0);
   }
-  return h;
+  return w.fnv1a();
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +391,7 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
 
     const LifetimeResult result = [&] {
       const ScopedProfPhase device_span(prof, ProfPhase::kFleetDevice);
-      return run_experiment(config, nullptr, workspace);
+      return run_experiment(config, workspace);
     }();
     log.finalize();
     bool truncated = false;
@@ -569,18 +557,6 @@ void append_exemplars(std::string& out, std::string_view key,
     out += '}';
   }
   out += ']';
-}
-
-const char* mode_name(SimulationMode mode) {
-  switch (mode) {
-    case SimulationMode::kStochastic:
-      return "stochastic";
-    case SimulationMode::kUniformEvent:
-      return "event";
-    case SimulationMode::kBitLevel:
-      return "bit";
-  }
-  return "unknown";
 }
 
 }  // namespace

@@ -198,10 +198,9 @@ struct FleetSpec {
 [[nodiscard]] std::uint64_t fleet_fingerprint(const FleetSpec& spec);
 
 struct FleetOptions {
-  /// Worker threads. 0 = all hardware threads, 1 = serial. Fleet seeds
-  /// are all distinct, so no endurance-map cache is consulted; each worker
-  /// reuses its own workspace instead (in-place map rebuilds — see
-  /// ExperimentWorkspace).
+  /// Worker threads. 0 = all hardware threads, 1 = serial. Each worker
+  /// reuses its own ExperimentWorkspace across its devices (in-place map
+  /// rebuilds).
   std::size_t jobs{1};
   /// Crash safety: append every completed shard's aggregate to this
   /// MXWEJRNL journal file (sim/journal.h; O(shard) bytes per

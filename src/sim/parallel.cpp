@@ -4,8 +4,6 @@
 #include <unordered_set>
 
 #include "obs/observer.h"
-#include "obs/profiler.h"
-#include "sim/endurance_cache.h"
 #include "sim/fan_out.h"
 #include "util/serialize.h"
 
@@ -106,37 +104,25 @@ std::vector<LifetimeResult> run_experiments(
                return true;
              });
 
-  // Above one worker the process-global cache shares endurance maps across
-  // runs with the same (geometry, endurance, seed, jitter).
-  EnduranceMapCache* cache = nullptr;
   if (fan.workers() > 1) {
     // A profiled sweep gives every run a private profiler, so only the
     // configs' own profilers can be shared.
     reject_shared_sinks(configs, options.profiler == nullptr);
-    cache = &EnduranceMapCache::global();
   }
-  const std::uint64_t cache_evictions_before =
-      cache != nullptr ? cache->evictions() : 0;
   fan.run(
       [&](std::size_t i, ExperimentWorkspace& ws, Profiler* prof) {
         if (prof != nullptr) {
           ExperimentConfig profiled = configs[i];
           profiled.observer.profiler = prof;
-          results[i] = run_experiment(profiled, cache, &ws);
+          results[i] = run_experiment(profiled, &ws);
         } else {
-          results[i] = run_experiment(configs[i], cache, &ws);
+          results[i] = run_experiment(configs[i], &ws);
         }
       },
       [&](std::size_t i, StateWriter& w) {
         w.u64(config_fingerprint(configs[i]));
         save_result(w, results[i]);
       });
-  if (options.profiler != nullptr && cache != nullptr) {
-    // hit/miss per run already came through the merge; evictions are a
-    // cache-wide property only the sweep level can see.
-    options.profiler->add(ProfCounter::kEnduranceCacheEvict,
-                          cache->evictions() - cache_evictions_before);
-  }
   return results;
 }
 

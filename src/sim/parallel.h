@@ -4,13 +4,12 @@
 //
 // Why this is safe: `run_experiment` is self-contained — every run derives
 // all randomness from its own `Rng(config.seed)`, owns its attack and wear
-// leveler, takes its device and spare scheme from its worker's
-// ExperimentWorkspace (recycled storage, bit-identical to fresh
-// construction), and shares only the immutable endurance map (via
-// EnduranceMapCache). There is no global state to race on, so the
-// only ordering that matters is the reduction order of whoever consumes
-// the results — which is why this API returns a vector in input order and
-// leaves reductions (RunningStats etc.) to the caller's thread.
+// leveler, and takes its endurance map, spare scheme and device from its
+// worker's ExperimentWorkspace (recycled storage, bit-identical to fresh
+// construction). Runs share nothing, so the only ordering that matters is
+// the reduction order of whoever consumes the results — which is why this
+// API returns a vector in input order and leaves reductions (RunningStats
+// etc.) to the caller's thread.
 //
 // Observers: a config carrying its *own* sinks is fine at any job count
 // (the run is the only writer). The same sink pointer appearing in more
@@ -35,10 +34,7 @@ struct ParallelOptions {
   /// Worker threads doing experiment work. 0 = all hardware threads
   /// (ThreadPool::hardware_workers()). 1 = strictly serial on the calling
   /// thread (no pool). Every worker reuses one ExperimentWorkspace across
-  /// its runs; above one worker the process-global EnduranceMapCache also
-  /// shares endurance maps across runs with identical (geometry, endurance,
-  /// seed, jitter) — see sim/endurance_cache.h for the determinism
-  /// contract.
+  /// its runs, whatever the job count.
   std::size_t jobs{0};
 
   /// Sweep-level crash safety: append every completed run's (config
@@ -69,10 +65,10 @@ std::vector<LifetimeResult> run_experiments(
     std::span<const ExperimentConfig> configs,
     const ParallelOptions& options = {});
 
-/// Parallel multi-bank lifetime: same per-bank seeding and the same
-/// first-bank-at-minimum aggregation as the serial run_multi_bank, with
-/// bank runs fanned out across the pool. Identical results at any job
-/// count.
+/// Run `banks` independent per-bank experiments (bank b uses seed
+/// config.seed + b) across the pool and aggregate them in bank order with
+/// aggregate_multi_bank. Identical results at any job count. Throws on
+/// banks == 0.
 MultiBankResult run_multi_bank(const ExperimentConfig& config,
                                std::uint32_t banks,
                                const ParallelOptions& options);

@@ -2,6 +2,15 @@
 
 namespace nvmsec {
 
+std::uint64_t StateWriter::fnv1a() const {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : buf_) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 Status StateReader::take(std::size_t n, const std::uint8_t*& out) {
   if (!status_.ok()) return status_;
   if (size_ - pos_ < n) {

@@ -51,6 +51,9 @@ class StateWriter {
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// 64-bit FNV-1a of buffer(): the hash behind the config and fleet
+  /// fingerprints that checkpoints and journals carry.
+  [[nodiscard]] std::uint64_t fnv1a() const;
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -267,7 +267,7 @@ TEST(ExperimentWorkspaceTest, EventModeReuseIsBitIdentical) {
       c.spare_scheme = scheme;
       c.seed = seed;
       const LifetimeResult fresh = run_experiment(c);
-      const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+      const LifetimeResult reused = run_experiment(c, &ws);
       expect_identical(fresh, reused);
     }
   }
@@ -282,7 +282,7 @@ TEST(ExperimentWorkspaceTest, StochasticModeReuseIsBitIdentical) {
     c.spare_scheme = "maxwe";
     c.seed = seed;
     const LifetimeResult fresh = run_experiment(c);
-    const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(c, &ws);
     expect_identical(fresh, reused);
   }
 }
@@ -300,7 +300,7 @@ TEST(ExperimentWorkspaceTest, ShapeChangesRebuildCleanly) {
   stoch.spare_scheme = "maxwe";
   for (const ExperimentConfig* c : {&big, &small, &stoch, &big, &stoch}) {
     const LifetimeResult fresh = run_experiment(*c);
-    const LifetimeResult reused = run_experiment(*c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(*c, &ws);
     expect_identical(fresh, reused);
   }
 }
@@ -315,8 +315,31 @@ TEST(ExperimentWorkspaceTest, LineJitterRunsMatchThroughReuse) {
     c.line_jitter_sigma = 0.2;
     c.seed = seed;
     const LifetimeResult fresh = run_experiment(c);
-    const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(c, &ws);
     expect_identical(fresh, reused);
+  }
+}
+
+TEST(ExperimentWorkspaceTest, StochasticJitterRunMatchesThroughReuse) {
+  // pcd consumes rng draws after map construction and the stochastic engine
+  // keeps drawing throughout the run, so any rng desynchronization between
+  // a fresh workspace and a reused one would show up here. The workspace
+  // first runs another seed so every slot it hands out has been used.
+  for (const char* scheme : {"pcd", "maxwe"}) {
+    ExperimentConfig c = scaled_stochastic_config(1024, 64, 2000.0);
+    c.attack = "bpa";
+    c.wear_leveler = "wawl";
+    c.spare_scheme = scheme;
+    c.line_jitter_sigma = 0.2;
+    c.seed = 13;
+    ExperimentConfig other = c;
+    other.seed = 14;
+
+    const LifetimeResult fresh = run_experiment(c);
+    ExperimentWorkspace ws;
+    (void)run_experiment(other, &ws);
+    expect_identical(fresh, run_experiment(c, &ws));
+    expect_identical(fresh, run_experiment(c, &ws));
   }
 }
 

@@ -18,13 +18,32 @@ ExperimentConfig bank_config() {
   return c;
 }
 
+ParallelOptions serial() {
+  ParallelOptions options;
+  options.jobs = 1;
+  return options;
+}
+
+/// Reference result without the runner: one run_experiment per bank
+/// (bank b at seed + b), folded in bank order.
+MultiBankResult bank_by_bank(const ExperimentConfig& config,
+                             std::uint32_t banks) {
+  std::vector<double> per_bank;
+  for (std::uint32_t b = 0; b < banks; ++b) {
+    ExperimentConfig bank = config;
+    bank.seed = config.seed + b;
+    per_bank.push_back(run_experiment(bank).normalized);
+  }
+  return aggregate_multi_bank(std::move(per_bank));
+}
+
 TEST(MultiBankTest, ZeroBanksRejected) {
-  EXPECT_THROW(run_multi_bank(bank_config(), 0), std::invalid_argument);
+  EXPECT_THROW(run_multi_bank(bank_config(), 0, serial()), std::invalid_argument);
 }
 
 TEST(MultiBankTest, SingleBankMatchesPlainExperiment) {
   const ExperimentConfig c = bank_config();
-  const MultiBankResult multi = run_multi_bank(c, 1);
+  const MultiBankResult multi = run_multi_bank(c, 1, serial());
   const double single = run_experiment(c).normalized;
   ASSERT_EQ(multi.per_bank.size(), 1u);
   EXPECT_DOUBLE_EQ(multi.system_normalized, single);
@@ -33,7 +52,7 @@ TEST(MultiBankTest, SingleBankMatchesPlainExperiment) {
 }
 
 TEST(MultiBankTest, SystemIsMinimumOfBanks) {
-  const MultiBankResult r = run_multi_bank(bank_config(), 6);
+  const MultiBankResult r = run_multi_bank(bank_config(), 6, serial());
   ASSERT_EQ(r.per_bank.size(), 6u);
   const double min = *std::min_element(r.per_bank.begin(), r.per_bank.end());
   const double max = *std::max_element(r.per_bank.begin(), r.per_bank.end());
@@ -45,7 +64,7 @@ TEST(MultiBankTest, SystemIsMinimumOfBanks) {
 }
 
 TEST(MultiBankTest, BanksUseIndependentEnduranceDraws) {
-  const MultiBankResult r = run_multi_bank(bank_config(), 4);
+  const MultiBankResult r = run_multi_bank(bank_config(), 4, serial());
   // All four banks drawing identical lifetimes would mean the seeds were
   // not varied.
   EXPECT_NE(r.per_bank[0], r.per_bank[1]);
@@ -66,7 +85,7 @@ TEST(MultiBankTest, IdenticalBanksTieToBankZero) {
   // FIRST one is reported.
   ExperimentConfig c = bank_config();
   c.endurance.current_stddev_ma = 0.0;
-  const MultiBankResult r = run_multi_bank(c, 4);
+  const MultiBankResult r = run_multi_bank(c, 4, serial());
   for (double bank : r.per_bank) {
     EXPECT_DOUBLE_EQ(bank, r.per_bank[0]);
   }
@@ -75,20 +94,20 @@ TEST(MultiBankTest, IdenticalBanksTieToBankZero) {
 
 TEST(MultiBankTest, ParallelPathMatchesSerialExactly) {
   const ExperimentConfig c = bank_config();
-  const MultiBankResult serial = run_multi_bank(c, 6);
+  const MultiBankResult reference = bank_by_bank(c, 6);
   for (std::size_t jobs : {1u, 3u, 8u}) {
     ParallelOptions options;
     options.jobs = jobs;
     const MultiBankResult parallel = run_multi_bank(c, 6, options);
-    ASSERT_EQ(parallel.per_bank.size(), serial.per_bank.size());
-    for (std::size_t b = 0; b < serial.per_bank.size(); ++b) {
-      EXPECT_DOUBLE_EQ(parallel.per_bank[b], serial.per_bank[b])
+    ASSERT_EQ(parallel.per_bank.size(), reference.per_bank.size());
+    for (std::size_t b = 0; b < reference.per_bank.size(); ++b) {
+      EXPECT_DOUBLE_EQ(parallel.per_bank[b], reference.per_bank[b])
           << "jobs " << jobs << " bank " << b;
     }
-    EXPECT_DOUBLE_EQ(parallel.system_normalized, serial.system_normalized);
-    EXPECT_EQ(parallel.weakest_bank, serial.weakest_bank);
-    EXPECT_DOUBLE_EQ(parallel.mean_bank, serial.mean_bank);
-    EXPECT_DOUBLE_EQ(parallel.max_bank, serial.max_bank);
+    EXPECT_DOUBLE_EQ(parallel.system_normalized, reference.system_normalized);
+    EXPECT_EQ(parallel.weakest_bank, reference.weakest_bank);
+    EXPECT_DOUBLE_EQ(parallel.mean_bank, reference.mean_bank);
+    EXPECT_DOUBLE_EQ(parallel.max_bank, reference.max_bank);
   }
 }
 
@@ -108,7 +127,7 @@ TEST(MultiBankTest, MoreBanksNeverRaiseSystemLifetime) {
   for (std::uint32_t banks : {1u, 2u, 4u, 8u}) {
     // Same seed base: the bank set is a superset of the previous one, so
     // the minimum is monotone non-increasing.
-    const double system = run_multi_bank(c, banks).system_normalized;
+    const double system = run_multi_bank(c, banks, serial()).system_normalized;
     EXPECT_LE(system, prev);
     prev = system;
   }

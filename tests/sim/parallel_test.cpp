@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/endurance_cache.h"
 
 namespace nvmsec {
 namespace {
@@ -58,8 +57,8 @@ TEST(RunExperimentsTest, EventModeBitIdenticalToSerial) {
       configs.push_back(c);
     }
   }
-  // Mix in schemes that draw from the rng during construction, so cached
-  // post-map rng state is exercised, and the unprotected baseline.
+  // Mix in schemes that draw from the rng during construction, so the rng
+  // state after the map build is exercised, and the unprotected baseline.
   configs[1].spare_scheme = "pcd";
   configs[3].spare_scheme = "ps";
   configs[5].spare_scheme = "none";
@@ -204,40 +203,32 @@ TEST(RunExperimentsTest, PerRunObserversAllowedWhenParallel) {
   EXPECT_GT(results[0].normalized, 0.0);
 }
 
-TEST(RunExperimentsTest, ExplicitCacheIsUsedAndStillBitIdentical) {
-  // Parallel sweeps source their maps from the process-global cache; start
-  // it empty and count hits and misses from here on.
-  EnduranceMapCache& cache = EnduranceMapCache::global();
-  cache.clear();
-  const std::uint64_t hits_before = cache.hits();
-  const std::uint64_t misses_before = cache.misses();
-  ParallelOptions options;
-  options.jobs = 4;
-
+TEST(RunExperimentsTest, SeedsSharedAcrossSparesMatchAtAnyJobCount) {
+  // The Fig 6/7 sweep shape: every seed recurs under several spare
+  // fractions, with jittered maps, so workers rebuild the same seed's map
+  // in their own workspaces. Four workers must reproduce one worker.
   std::vector<ExperimentConfig> configs;
   for (double fraction : {0.10, 0.20, 0.30}) {
     for (std::uint64_t seed : {1, 2}) {
       ExperimentConfig c;
       c.geometry = DeviceGeometry::scaled(4096, 64);
       c.endurance.endurance_at_mean = 1e6;
+      c.line_jitter_sigma = 0.2;
       c.seed = seed;
       c.spare_fraction = fraction;
       c.spare_scheme = "maxwe";
       configs.push_back(c);
     }
   }
-  // Warm both keys first so the parallel pass is deterministic (two
-  // threads racing on the same cold key may legitimately both miss).
-  for (std::uint64_t seed : {1, 2}) {
-    cache.get_or_build(configs[0].geometry, configs[0].endurance, seed, 0.0);
+  ParallelOptions one_job;
+  one_job.jobs = 1;
+  const std::vector<LifetimeResult> serial = run_experiments(configs, one_job);
+  const std::vector<LifetimeResult> parallel =
+      run_experiments(configs, four_jobs());
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_identical(parallel[i], serial[i], i);
   }
-  ASSERT_EQ(cache.misses() - misses_before, 2u);
-
-  expect_matches_serial(configs, options);
-  // 3 fractions x 2 seeds share the 2 prewarmed maps: all hits, no builds.
-  EXPECT_EQ(cache.misses() - misses_before, 2u);
-  EXPECT_EQ(cache.hits() - hits_before, 6u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace
