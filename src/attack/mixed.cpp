@@ -36,13 +36,23 @@ std::uint64_t parse_writes(const std::string& tok) {
   if (digits.empty()) {
     throw std::invalid_argument("mixed phases: bad write budget '" + tok + "'");
   }
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t value = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') {
       throw std::invalid_argument("mixed phases: bad write budget '" + tok +
                                   "'");
     }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) {
+      throw std::invalid_argument("mixed phases: write budget '" + tok +
+                                  "' overflows 64 bits");
+    }
+    value = value * 10 + digit;
+  }
+  if (value > kMax / mult) {
+    throw std::invalid_argument("mixed phases: write budget '" + tok +
+                                "' overflows 64 bits");
   }
   return value * mult;
 }

@@ -54,7 +54,7 @@ enum class ProfPhase : std::uint8_t {
   kBitRun,               // BitEngine::run end to end
   kFleetShard,           // one shard: device loop + fold + compress
   kFleetDevice,          // one device's run_experiment inside a shard
-  kFleetCheckpoint,      // fleet checkpoint rewrite after a shard lands
+  kFleetCheckpoint,      // fleet journal append after a shard lands
   kFleetMerge,           // final merge of shard aggregates
   kCount,
 };

@@ -238,7 +238,7 @@ LifetimeResult UniformEventSimulator::run() {
       utilization[l] =
           budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
     }
-    result.wear_gini = gini_coefficient_inplace(utilization);
+    result.wear_gini = gini_inplace(utilization);
   }
 
   rec_.finish(result, {.spare = &scheme_, .sim_rounds = t});

@@ -189,7 +189,7 @@ std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
   // escaped — fall back to a fresh allocation rather than mutate shared
   // state under someone's feet.
   const long expected_refs =
-      1 + (spare_ != nullptr ? 1 : 0) + (device_on_map_ ? 1 : 0);
+      1 + spare_map_refs_ + (device_on_map_ ? 1 : 0);
   const bool reusable = map_ != nullptr &&
                         map_->geometry().num_lines() == g.num_lines() &&
                         map_->geometry().num_regions() == g.num_regions() &&
@@ -225,7 +225,9 @@ SpareScheme* ExperimentWorkspace::acquire_spare(const ExperimentConfig& config,
     // Free the old scheme before the new one allocates its tables, so two
     // schemes are never resident at once.
     spare_.reset();
+    const long refs_before = map_.use_count();
     spare_ = build_spare_scheme(config, map_, rng);
+    spare_map_refs_ = map_.use_count() - refs_before;
     spare_name_ = config.spare_scheme;
     spare_fraction_ = config.spare_fraction;
     swr_fraction_ = config.swr_fraction;

@@ -202,6 +202,10 @@ class ExperimentWorkspace {
   /// Spare-scheme slot (always built on map_) plus the construction key it
   /// was built with.
   std::unique_ptr<SpareScheme> spare_;
+  /// map_ references spare_ holds, counted when it was built: none, pcd and
+  /// freep keep only the line count, ps and maxwe the map. A rebind keeps
+  /// the count.
+  long spare_map_refs_{0};
   std::string spare_name_;
   double spare_fraction_{-1.0};
   double swr_fraction_{-1.0};

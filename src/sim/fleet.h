@@ -189,7 +189,8 @@ struct FleetSpec {
 [[nodiscard]] BatchContract fleet_sampling_contract(const FleetSpec& spec);
 
 /// Fingerprint of every trajectory-shaping field of the spec. Stored in
-/// fleet checkpoints; resume refuses a file from a different population.
+/// the fleet journal's header; resume refuses a journal from a different
+/// population.
 /// When the population's sampling contract is not bit-identical (stochastic
 /// attacks in the mix, stochastic mode), the fastpath flag is part of the
 /// fingerprint: fastpath and per-write trajectories are then only
@@ -211,7 +212,7 @@ struct FleetOptions {
   /// Live progress sink (obs/heartbeat.h); nullptr = zero heartbeat work.
   HeartbeatSink* heartbeat{nullptr};
   /// Test hook: stop after this many newly-run shards (0 = run all).
-  /// Simulates preemption without signals; the checkpoint then covers a
+  /// Simulates preemption without signals; the journal then covers a
   /// deterministic shard subset.
   std::uint64_t stop_after_shards{0};
   /// Aggregate self-profile for the campaign; nullptr = no profiling.
@@ -232,8 +233,8 @@ struct FleetResult {
 };
 
 /// Run the campaign. Throws std::invalid_argument on an empty population
-/// or bad mix, std::runtime_error when resume meets a checkpoint written
-/// by a different spec.
+/// or bad mix, std::runtime_error when resume meets a journal written by
+/// a different spec.
 FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options = {});
 
 /// Deterministic JSON rendering of a fleet result (fixed key order,

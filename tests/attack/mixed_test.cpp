@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -43,6 +44,8 @@ TEST(ParseMixedPhasesTest, ParsesNamesBudgetsAndSuffixes) {
   EXPECT_EQ(phases[1].writes, 3'000'000u);
   EXPECT_EQ(phases[2].attack, "uaa");
   EXPECT_EQ(phases[2].writes, 0u);
+  EXPECT_EQ(parse_mixed_phases("uaa:18446744073709551615")[0].writes,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ParseMixedPhasesTest, RejectsMalformedSpecs) {
@@ -55,6 +58,11 @@ TEST(ParseMixedPhasesTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_mixed_phases("zipf:10,,uaa:0"), std::invalid_argument);
   // An unbounded phase anywhere but last can never be left.
   EXPECT_THROW(parse_mixed_phases("uaa:0,zipf:10"), std::invalid_argument);
+  // Budgets past 2^64 - 1 are rejected, not wrapped (to 1 and to a small
+  // number respectively).
+  EXPECT_THROW(parse_mixed_phases("uaa:18446744073709551617"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_mixed_phases("zipf:20000000000g"), std::invalid_argument);
 }
 
 TEST(MixedAttackTest, ConstructionValidation) {

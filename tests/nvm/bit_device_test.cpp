@@ -92,6 +92,119 @@ TEST(BitDeviceTest, EcpEntriesExtendLineLifetime) {
   EXPECT_EQ(used6, 6u);
 }
 
+/// A device of `lines` lines with equal 500-program cell endurance
+/// (sigma 0.1): small enough to write every line to death in a test.
+BitDevice small_device(std::uint32_t ecp_entries, Rng& rng,
+                       std::uint64_t lines = 10) {
+  BitDeviceParams params;
+  params.cell_sigma = 0.1;
+  params.ecp_entries = ecp_entries;
+  return BitDevice(std::make_shared<const EnduranceMap>(EnduranceMap::uniform(
+                       DeviceGeometry::scaled(lines, 1), 500.0)),
+                   params, rng);
+}
+
+/// Write every line of `d` to death; mean writes per line, the dying write
+/// included.
+double wear_out_every_line(BitDevice& d, WriteCodec& codec,
+                           PayloadModel& payload, Rng& rng) {
+  const std::uint64_t n = d.geometry().num_lines();
+  double writes = 0;
+  for (std::uint64_t l = 0; l < n; ++l) {
+    payload.reset();
+    while (d.write(PhysLineAddr{l}, payload.next(rng, LogicalLineAddr{0}),
+                   codec) == BitWriteOutcome::kOk) {
+    }
+    writes += static_cast<double>(d.writes_to(PhysLineAddr{l}));
+  }
+  return writes / static_cast<double>(n);
+}
+
+double cells_per_write(const BitDevice& d) {
+  return static_cast<double>(d.total_cells_programmed()) /
+         static_cast<double>(d.total_writes());
+}
+
+TEST(BitDeviceTest, DifferentialOutlivesFullWriteOnRandomData) {
+  // Random data flips ~half the cells per write, so differential write
+  // roughly doubles the line lifetime versus always-program.
+  Rng rng(4);
+  auto payload = make_random_payload();
+  auto full = make_full_write_codec();
+  auto diff = make_differential_write_codec();
+  BitDevice d_full = small_device(0, rng);
+  BitDevice d_diff = small_device(0, rng);
+  const double ratio = wear_out_every_line(d_diff, *diff, *payload, rng) /
+                       wear_out_every_line(d_full, *full, *payload, rng);
+  EXPECT_GT(ratio, 1.6);
+  EXPECT_LT(ratio, 2.6);
+  EXPECT_DOUBLE_EQ(cells_per_write(d_full), 512.0);
+  EXPECT_NEAR(cells_per_write(d_diff), 256.0, 16.0);
+}
+
+TEST(BitDeviceTest, FnwOutlivesDifferentialOnComplementData) {
+  // Alternating complement data: differential pays every cell every write;
+  // FNW pays only flag bits (8 cells worn every write, so the flags become
+  // the bottleneck — still a big win).
+  Rng rng(5);
+  auto payload = make_complement_payload(0x0F0F0F0F0F0F0F0FULL);
+  auto fnw = make_flip_n_write_codec();
+  auto diff = make_differential_write_codec();
+  BitDevice d_diff = small_device(0, rng);
+  BitDevice d_fnw = small_device(0, rng);
+  EXPECT_GT(wear_out_every_line(d_fnw, *fnw, *payload, rng),
+            wear_out_every_line(d_diff, *diff, *payload, rng));
+  EXPECT_LT(cells_per_write(d_fnw), cells_per_write(d_diff));
+}
+
+TEST(BitDeviceTest, AdversarialPatternNullifiesFnw) {
+  // §3.3.2: under the 0x0000/0x5555 alternation FNW loses its advantage
+  // entirely — its lifetime matches plain differential write.
+  Rng rng(6);
+  auto payload = make_fnw_adversarial_payload();
+  auto fnw = make_flip_n_write_codec();
+  auto diff = make_differential_write_codec();
+  BitDevice d_diff = small_device(0, rng);
+  BitDevice d_fnw = small_device(0, rng);
+  const double ratio = wear_out_every_line(d_fnw, *fnw, *payload, rng) /
+                       wear_out_every_line(d_diff, *diff, *payload, rng);
+  EXPECT_NEAR(ratio, 1.0, 0.15);
+}
+
+TEST(BitDeviceTest, EcpGainIsBoundedUnderUniformStress) {
+  // §2.2.2's critique, measured: under always-program stress the k-entry
+  // gain is the gap between the weakest and the (k+1)-weakest cell — a few
+  // percent, nothing like a spare-line scheme's multiples.
+  Rng rng(8);
+  auto payload = make_random_payload();
+  auto codec = make_full_write_codec();
+  BitDevice base = small_device(0, rng);
+  BitDevice ecp6 = small_device(6, rng);
+  const double gain = wear_out_every_line(ecp6, *codec, *payload, rng) /
+                      wear_out_every_line(base, *codec, *payload, rng);
+  EXPECT_GT(gain, 1.0);
+  EXPECT_LT(gain, 1.5);
+}
+
+class EcpEntriesTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(EcpEntriesTest, MoreEntriesMeanLongerLifetime) {
+  Rng rng(7);
+  auto payload = make_random_payload();
+  auto codec = make_full_write_codec();
+  BitDevice base = small_device(0, rng, 8);
+  BitDevice with_ecp = small_device(GetParam(), rng, 8);
+  EXPECT_GT(wear_out_every_line(with_ecp, *codec, *payload, rng),
+            wear_out_every_line(base, *codec, *payload, rng));
+  // A line dies on the first failure past its budget, every entry spent.
+  for (std::uint64_t l = 0; l < 8; ++l) {
+    EXPECT_EQ(with_ecp.ecp_used(PhysLineAddr{l}), GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EntryCounts, EcpEntriesTest,
+                         ::testing::Values(1u, 2u, 6u, 16u));
+
 TEST(BitDeviceTest, OutOfRangeAccessesThrow) {
   Rng rng(6);
   BitDevice d(tiny_map(), {}, rng);

@@ -175,6 +175,21 @@ TEST(GiniTest, NegativeValuesThrow) {
   EXPECT_THROW(gini(std::vector<double>{1.0, -1.0}), std::invalid_argument);
 }
 
+TEST(GiniTest, ConcentrationApproachesOne) {
+  std::vector<double> values(100, 0.0);
+  values[0] = 1.0;
+  EXPECT_NEAR(gini(values), 0.99, 0.001);
+}
+
+TEST(GiniTest, KnownTwoPointValue) {
+  // {1, 3}: Gini = (2*(1*1 + 2*3)/(2*4)) - 3/2 = 14/8 - 12/8 = 0.25. The
+  // in-place form gives the same value and leaves its buffer sorted.
+  std::vector<double> values{3.0, 1.0};
+  EXPECT_NEAR(gini(values), 0.25, 1e-12);
+  EXPECT_DOUBLE_EQ(gini_inplace(values), gini(std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(values, (std::vector<double>{1.0, 3.0}));
+}
+
 TEST(MaxMinRatioTest, DegenerateInputsAreBalanced) {
   EXPECT_DOUBLE_EQ(max_min_ratio(std::vector<double>{}), 1.0);
   EXPECT_DOUBLE_EQ(max_min_ratio(std::vector<double>{7.0}), 1.0);
