@@ -94,6 +94,13 @@ class Device {
 
   [[nodiscard]] bool is_worn_out(PhysLineAddr line) const;
 
+  /// Hot-path form of is_worn_out(): range validation reduced to a
+  /// debug-only assert (the engine's resolve cache probes every hit).
+  [[nodiscard]] bool worn_out_unchecked(PhysLineAddr line) const {
+    assert(geometry().contains(line));
+    return remaining_[line.value()] == 0;
+  }
+
   /// Writes absorbed by `line` so far.
   [[nodiscard]] WriteCount writes_to(PhysLineAddr line) const;
 

@@ -63,8 +63,9 @@ bool Pcd::on_wear_out(std::uint64_t idx) {
     throw std::out_of_range("Pcd::on_wear_out: index out of range");
   }
   mark_dead(PhysLineAddr{backing_[idx]});
-  // A death invalidates every cached resolve of an index sharing the dead
-  // backing line, not just `idx` — bump even when rehome() will bump again.
+  // A death changes the mapping of every index sharing the dead backing
+  // line (each is rehomed lazily), not just `idx` — bump even when
+  // rehome() will bump again.
   bump_mapping_epoch();
   if (stats_.line_deaths > degradation_budget_) {
     return false;  // capacity guarantee broken

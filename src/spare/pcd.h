@@ -27,9 +27,8 @@ class Pcd final : public SpareScheme {
   }
   [[nodiscard]] PhysLineAddr working_line(std::uint64_t idx) const override;
   PhysLineAddr resolve(std::uint64_t idx) override;
-  // Lazy rehoming mutates the mapping, but every rehome (and every death
-  // that makes one necessary) bumps the epoch, so cached entries are
-  // flushed before they can go stale.
+  // Lazy rehoming mutates the mapping, but only of an index whose backing
+  // line died, so a cached entry goes stale only when its line is dead.
   [[nodiscard]] bool resolve_cacheable() const override { return true; }
   bool on_wear_out(std::uint64_t idx) override;
   [[nodiscard]] std::string name() const override { return "pcd"; }

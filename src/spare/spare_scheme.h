@@ -57,17 +57,26 @@ class SpareScheme {
 
   /// Monotone counter bumped on every change to the working-index ->
   /// backing-line mapping: replacements, lazy repairs (PCD's rehome),
-  /// scrub rebuilds (Max-WE), reset, and state load. A batched engine
-  /// caches resolve() results only while this value is unchanged.
+  /// scrub rebuilds (Max-WE), reset, and state load. The batched engine
+  /// absorbs the bumps of its own on_wear_out() and resolve() calls (see
+  /// resolve_cacheable()) and flushes its resolve cache on any other.
   [[nodiscard]] std::uint64_t mapping_epoch() const { return mapping_epoch_; }
 
-  /// True when resolve() is a pure lookup whose result may be cached while
-  /// mapping_epoch() is unchanged. The default is false — the safe answer
-  /// for a scheme that doesn't know about epochs. A scheme may opt in only
-  /// if (a) resolve() mutates nothing observable and (b) *every* mapping
-  /// change calls bump_mapping_epoch(). FREE-p stays false even though it
-  /// bumps: its resolve() charges pointer-walk reads into checkpointed
-  /// counters, so skipping calls would change checkpoint bytes.
+  /// True when resolve() results may be cached. The default is false — the
+  /// safe answer for a scheme that doesn't know about epochs. A scheme may
+  /// opt in only if
+  ///  (a) resolve() mutates nothing observable beyond repairing the
+  ///      mapping of the index it resolves,
+  ///  (b) *every* mapping change calls bump_mapping_epoch(), and
+  ///  (c) apart from the wholesale events (reset, rebind, load_state, a
+  ///      scrub rebuild), an index's mapping changes only when that index's
+  ///      backing line has worn out.
+  /// (c) lets the engine keep its cache across a rescue: a cached entry
+  /// stays valid while its line is alive, so only entries naming the dead
+  /// line are re-resolved. maxwe, ps, ps-worst, pcd and none keep it
+  /// (SpareResolveContractTest). FREE-p stays false even though it bumps:
+  /// its resolve() charges pointer-walk reads into checkpointed counters,
+  /// so skipping calls would change checkpoint bytes.
   [[nodiscard]] virtual bool resolve_cacheable() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;

@@ -109,7 +109,7 @@ TEST(SinkBytesTest, StochasticEngineWithDetector) {
   ASSERT_TRUE(has_event(log, "cadence_change"));
   ASSERT_TRUE(has_event(log, "region_wear_out"));
   ASSERT_TRUE(has_event(log, "end_of_life"));
-  expect_crcs(got, {0xdf8e8225u, 0xcd894a0du, 0x0c588a32u, 0x072e8e93u});
+  expect_crcs(got, {0xd8ff57e5u, 0xcd894a0du, 0x0c588a32u, 0x072e8e93u});
 }
 
 TEST(SinkBytesTest, BitEngineFnwEcp) {
