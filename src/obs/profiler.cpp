@@ -28,6 +28,9 @@ constexpr ProfPhaseInfo kProfPhaseInfo[] = {
     {"engine.snapshot", ProfPhase::kEngineRun},
     {"event.run", ProfPhase::kFleetDevice},
     {"event.rescue", ProfPhase::kEventRun},
+    {"event.setup", ProfPhase::kEventRun},
+    {"event.heapify", ProfPhase::kEventRun},
+    {"event.finalize", ProfPhase::kEventRun},
     {"bit.run", ProfPhase::kFleetDevice},
     {"fleet.shard", ProfPhase::kCount},
     {"fleet.device", ProfPhase::kFleetShard},

@@ -51,6 +51,9 @@ enum class ProfPhase : std::uint8_t {
   kEngineSnapshot,       // wear-snapshot emission
   kEventRun,             // UniformEventSimulator::run end to end
   kEventRescue,          // event-sim re-home loop per line death
+  kEventSetup,           // event-sim per-line arrays and reverse map
+  kEventHeapify,         // event-sim initial death-heap build
+  kEventFinalize,        // event-sim utilization Gini and result publish
   kBitRun,               // BitEngine::run end to end
   kFleetShard,           // one shard: device loop + fold + compress
   kFleetDevice,          // one device's run_experiment inside a shard

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -80,6 +81,11 @@ LifetimeResult UniformEventSimulator::run() {
   const ScopedTimer run_span = rec_.span("event_sim.run");
   Profiler* const prof = rec_.profiler();
   const ScopedProfPhase prof_span(prof, ProfPhase::kEventRun);
+  // The run's straight-line stages, timed under event.run; the death loop
+  // between heapify and finalize stays event.run self time (plus
+  // event.rescue).
+  std::optional<ScopedProfPhase> stage(std::in_place, prof,
+                                       ProfPhase::kEventSetup);
 
   // Working state lives in a bump arena: a run-local one by default, the
   // caller's via set_scratch() when many devices run back-to-back.
@@ -126,6 +132,7 @@ LifetimeResult UniformEventSimulator::run() {
     rate[b] += idx_rate(static_cast<std::uint32_t>(idx));
   }
 
+  stage.emplace(prof, ProfPhase::kEventHeapify);
   // The death heap's storage comes from the arena too: reserving up front
   // makes the common case (deaths ≈ lines) grow-free, and any overflow
   // growth still bump-allocates instead of hitting the system allocator.
@@ -140,6 +147,8 @@ LifetimeResult UniformEventSimulator::run() {
                    version[l]);
     }
   }
+
+  stage.reset();
 
   // Accrue wear on `l` up to time `t` under its current rate.
   const auto settle = [&](std::uint64_t l, double t) {
@@ -219,6 +228,7 @@ LifetimeResult UniformEventSimulator::run() {
     }
   }
 
+  stage.emplace(prof, ProfPhase::kEventFinalize);
   if (!result.failed) {
     // Defensive: with the bundled schemes failure always precedes heap
     // exhaustion, but a custom scheme with unbounded spares could get here.

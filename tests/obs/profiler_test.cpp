@@ -263,6 +263,31 @@ TEST(ProfilerTest, AttachingProfilerDoesNotChangeResults) {
   EXPECT_GT(prof.attributed_root_ns(), 0u);
 }
 
+TEST(ProfilerTest, EventEngineTimesItsStagesUnderEventRun) {
+  ExperimentConfig config;
+  config.geometry = DeviceGeometry::scaled(2048, 128);
+  config.endurance.endurance_at_mean = 1000.0;
+  config.spare_scheme = "maxwe";
+  Profiler prof;
+  config.observer.profiler = &prof;
+  run_experiment(config);
+
+  EXPECT_EQ(prof.phase(ProfPhase::kEventRun).count, 1u);
+  std::uint64_t staged_ns = 0;
+  for (const ProfPhase stage :
+       {ProfPhase::kEventSetup, ProfPhase::kEventHeapify,
+        ProfPhase::kEventFinalize}) {
+    EXPECT_EQ(prof.phase(stage).count, 1u) << prof_phase_name(stage);
+    EXPECT_EQ(prof_phase_parent(stage), ProfPhase::kEventRun);
+    staged_ns += prof.phase(stage).total_ns;
+  }
+  EXPECT_EQ(prof_phase_name(ProfPhase::kEventSetup), "event.setup");
+  EXPECT_EQ(prof_phase_name(ProfPhase::kEventHeapify), "event.heapify");
+  EXPECT_EQ(prof_phase_name(ProfPhase::kEventFinalize), "event.finalize");
+  EXPECT_LE(staged_ns + prof.phase(ProfPhase::kEventRescue).total_ns,
+            prof.phase(ProfPhase::kEventRun).total_ns);
+}
+
 TEST(ProfilerTest, ParallelSweepMergesPerRunProfilers) {
   std::vector<ExperimentConfig> configs(3, small_stochastic());
   for (std::size_t i = 0; i < configs.size(); ++i) {
