@@ -197,8 +197,28 @@ int main(int argc, char** argv) {
                 << " region endurances to " << path << "\n";
       return 0;
     }
-    // A loaded map replaces the generated one via a dedicated run below.
+    // A loaded map replaces the generated one via a dedicated run below: a
+    // single UAA event-engine run. Refuse whatever that run would silently
+    // ignore instead of reporting a different experiment's lifetime.
     if (const std::string path = cli.get_string("load-map"); !path.empty()) {
+      const std::string& spare_name = config.spare_scheme;
+      std::string refused;
+      if (config.mode != SimulationMode::kUniformEvent) {
+        refused = "needs --mode event";
+      } else if (config.attack != "uaa") {
+        refused = "needs --attack uaa";
+      } else if (seeds > 1 || banks > 1) {
+        refused = "runs one device: drop --seeds/--banks";
+      } else if (spare_name != "maxwe" && spare_name != "pcd" &&
+                 spare_name != "ps" && spare_name != "ps-worst" &&
+                 spare_name != "none") {
+        refused = "supports --spare maxwe|pcd|ps|ps-worst|none, not '" +
+                  spare_name + "'";
+      }
+      if (!refused.empty()) {
+        std::cerr << "error: --load-map " << refused << "\n";
+        return 1;
+      }
       log_info() << "loading endurance map from " << path;
       const EnduranceMap loaded = load_endurance_csv(path).take();
       config.geometry = loaded.geometry();
