@@ -62,11 +62,12 @@ int main(int argc, char** argv) {
   CliParser cli("Extension: write-reduction codecs and ECP at cell level");
   cli.add_flag("trials", "independent lines per cell", "6");
   cli.add_flag("cell-endurance", "mean cell endurance (scaled)", "2000");
+  cli.add_flag("seed", "RNG seed for cell endurances and payloads", "42");
   if (!cli.parse(argc, argv)) return 0;
   const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials"));
   const double cell_endurance = cli.get_double("cell-endurance");
 
-  Rng rng(42);
+  Rng rng(cli.get_uint("seed"));
 
   {
     Table table({"payload", "full-write", "differential", "flip-n-write",

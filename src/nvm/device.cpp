@@ -1,7 +1,6 @@
 #include "nvm/device.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -17,8 +16,7 @@ Device::Device(std::shared_ptr<const EnduranceMap> endurance)
   const std::uint64_t n = endurance_->geometry().num_lines();
   budget_.resize(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const double e = endurance_->line_endurance(PhysLineAddr{i});
-    budget_[i] = static_cast<WriteCount>(std::llround(std::max(1.0, e)));
+    budget_[i] = endurance_->write_budget(PhysLineAddr{i});
     total_budget_ += static_cast<double>(budget_[i]);
   }
   remaining_ = budget_;
@@ -174,8 +172,7 @@ void Device::rebind(std::shared_ptr<const EnduranceMap> endurance) {
   budget_.resize(n);
   total_budget_ = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const double e = endurance_->line_endurance(PhysLineAddr{i});
-    budget_[i] = static_cast<WriteCount>(std::llround(std::max(1.0, e)));
+    budget_[i] = endurance_->write_budget(PhysLineAddr{i});
     total_budget_ += static_cast<double>(budget_[i]);
   }
   remaining_ = budget_;

@@ -135,6 +135,11 @@ Endurance EnduranceMap::line_endurance(PhysLineAddr line) const {
   return region_endurance_[line.value() / geometry_.lines_per_region()];
 }
 
+WriteCount EnduranceMap::write_budget(PhysLineAddr line) const {
+  return static_cast<WriteCount>(
+      std::llround(std::max(1.0, line_endurance(line))));
+}
+
 Endurance EnduranceMap::min_line_endurance() const {
   if (!line_endurance_.empty()) {
     return *std::min_element(line_endurance_.begin(), line_endurance_.end());

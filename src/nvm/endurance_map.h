@@ -66,6 +66,8 @@ class EnduranceMap {
 
   [[nodiscard]] Endurance region_endurance(RegionId region) const;
   [[nodiscard]] Endurance line_endurance(PhysLineAddr line) const;
+  /// Integer write budget: endurance rounded, at least 1 (every engine's).
+  [[nodiscard]] WriteCount write_budget(PhysLineAddr line) const;
 
   /// Sum of all line endurances = the ideal lifetime in writes (§3.1).
   [[nodiscard]] double ideal_lifetime() const { return ideal_lifetime_; }

@@ -93,6 +93,9 @@ ProfileDoc parse_profile(std::string_view text) {
                              doc.str("type") + "'");
   }
   out.wall_ns = as_u64(doc.num("wall_ns"));
+  if (doc.find("peak_rss_kb") != nullptr) {
+    out.peak_rss_kb = as_u64(doc.num("peak_rss_kb"));
+  }
 
   const minijson::JsonValue& phases = doc.at("phases");
   if (!phases.is_object()) {
@@ -287,6 +290,11 @@ void render_profile_summary(std::ostream& os, const ProfileDoc& doc,
   render_flat_table(os, doc, top_phases, "Top phases by total time");
   render_counters(os, doc);
   render_utilization(os, doc, /*per_worker=*/false);
+  if (doc.peak_rss_kb > 0) {
+    os.precision(1);
+    os << std::fixed << "peak RSS: "
+       << static_cast<double>(doc.peak_rss_kb) / 1024.0 << " MB\n";
+  }
   render_attributed_line(os, doc);
 }
 

@@ -39,6 +39,9 @@ struct ProfileWorkerRow {
 struct ProfileDoc {
   int version{0};
   std::uint64_t wall_ns{0};
+  /// Process peak RSS (KiB) when the document was written; 0 when the
+  /// writer predates the field or could not read it.
+  std::uint64_t peak_rss_kb{0};
   std::vector<ProfilePhaseRow> phases;
   /// (name, value), nonzero counters only, file (= enum) order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -73,7 +76,7 @@ struct ProfileDoc {
 void render_profile(std::ostream& os, const ProfileDoc& doc);
 
 /// Compact rendering for report embedding: top phases by total time,
-/// cache hit rates, utilization summary, attributed line.
+/// cache hit rates, utilization summary, peak RSS, attributed line.
 void render_profile_summary(std::ostream& os, const ProfileDoc& doc,
                             std::size_t top_phases = 8);
 

@@ -1,10 +1,28 @@
 #include "obs/profiler.h"
 
+#ifndef _WIN32
+#include <sys/resource.h>
+#endif
+
 #include "obs/json.h"
 
 namespace nvmsec {
 
 namespace {
+
+/// The process's peak resident set so far, in KiB; 0 where unavailable.
+std::uint64_t peak_rss_kb() {
+#ifdef _WIN32
+  return 0;
+#else
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0 || usage.ru_maxrss < 0) return 0;
+#ifdef __APPLE__
+  usage.ru_maxrss /= 1024;  // macOS reports bytes, Linux KiB
+#endif
+  return static_cast<std::uint64_t>(usage.ru_maxrss);
+#endif
+}
 
 struct ProfPhaseInfo {
   std::string_view name;
@@ -115,6 +133,8 @@ std::string Profiler::to_json(std::uint64_t wall_ns) const {
   out += "{\"v\": 1, \"type\": \"profile\", \"deterministic\": false, "
          "\"clock\": \"steady_ns\", \"wall_ns\": ";
   append_u64(out, wall_ns);
+  out += ", \"peak_rss_kb\": ";
+  append_u64(out, peak_rss_kb());
   out += ",\n \"phases\": {";
   bool first = true;
   for (std::size_t i = 0; i < kProfPhaseCount; ++i) {

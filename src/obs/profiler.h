@@ -203,7 +203,8 @@ class Profiler {
   /// observed phases and nonzero counters are emitted; key order follows
   /// the enum, so the layout is stable run to run even though the timings
   /// are not. `wall_ns` is the caller-measured wall time of whatever the
-  /// profile covers (one run, one campaign).
+  /// profile covers (one run, one campaign); `peak_rss_kb` is the process's
+  /// peak resident set (getrusage) at the time of the call.
   [[nodiscard]] std::string to_json(std::uint64_t wall_ns) const;
 
  private:

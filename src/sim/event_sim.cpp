@@ -93,18 +93,13 @@ LifetimeResult UniformEventSimulator::run() {
   Arena& arena = scratch_ != nullptr ? *scratch_ : local_scratch;
   arena.reset();
 
-  // Integer budgets identical to Device's rounding, kept as doubles for the
+  // Integer budgets identical to Device's, kept as doubles for the
   // continuous-time arithmetic.
+  const auto budget = [&](std::uint64_t l) {
+    return static_cast<double>(endurance_->write_budget(PhysLineAddr{l}));
+  };
   const std::span<double> remaining = arena.make_span<double>(n);
-  for (std::uint64_t l = 0; l < n; ++l) {
-    remaining[l] = static_cast<double>(static_cast<WriteCount>(std::llround(
-        std::max(1.0, endurance_->line_endurance(PhysLineAddr{l})))));
-  }
-
-  // Initial budgets, kept so per-line utilization (consumed / budget) can be
-  // reported at end of run — the event-driven analogue of analyze_wear().
-  const std::span<double> budget = arena.make_span<double>(n);
-  std::copy(remaining.begin(), remaining.end(), budget.begin());
+  for (std::uint64_t l = 0; l < n; ++l) remaining[l] = budget(l);
 
   // Per-index write rate (writes per round): 1.0 everywhere in the uniform
   // default, the normalized weight vector otherwise. A line's wear rate is
@@ -139,14 +134,17 @@ LifetimeResult UniformEventSimulator::run() {
   using HeapVec = std::vector<HeapEntry, ArenaAllocator<HeapEntry>>;
   HeapVec heap_storage{ArenaAllocator<HeapEntry>(&arena)};
   heap_storage.reserve(n + 64);
-  std::priority_queue<HeapEntry, HeapVec, std::greater<>> heap{
-      std::greater<>{}, std::move(heap_storage)};
   for (std::uint64_t l = 0; l < n; ++l) {
     if (rate[l] > 0.0) {
-      heap.emplace(remaining[l] / rate[l], static_cast<std::uint32_t>(l),
-                   version[l]);
+      heap_storage.emplace_back(remaining[l] / rate[l],
+                                static_cast<std::uint32_t>(l), version[l]);
     }
   }
+  // One O(n) make_heap. The pop order cannot differ from pushing one entry
+  // at a time: entries are distinct (time, line, version) tuples under a
+  // total order, so each pop's minimum is unique.
+  std::priority_queue<HeapEntry, HeapVec, std::greater<>> heap{
+      std::greater<>{}, std::move(heap_storage)};
 
   stage.reset();
 
@@ -240,16 +238,14 @@ LifetimeResult UniformEventSimulator::run() {
 
   // Per-line utilization Gini at end of run, matching analyze_wear()'s
   // definition. Lines still under load accrued wear since their last
-  // settle; bring every line up to the failure time first.
-  {
-    const std::span<double> utilization = arena.make_span<double>(n);
-    for (std::uint64_t l = 0; l < n; ++l) {
-      if (rate[l] > 0.0) settle(l, t);
-      utilization[l] =
-          budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
-    }
-    result.wear_gini = gini_inplace(utilization);
+  // settle; bring every line up to the failure time first. A settled line's
+  // `remaining` is dead, so its utilization overwrites it in place.
+  for (std::uint64_t l = 0; l < n; ++l) {
+    if (rate[l] > 0.0) settle(l, t);
+    const double b = budget(l);
+    remaining[l] = (b - remaining[l]) / b;
   }
+  result.wear_gini = gini_inplace(remaining);
 
   rec_.finish(result, {.spare = &scheme_, .sim_rounds = t});
   // The wear-out count a Device would publish, and the continuous clock.

@@ -56,9 +56,9 @@ class UniformEventSimulator {
   /// line, and the scheme must eventually report failure.
   LifetimeResult run();
 
-  /// Borrow a scratch arena for run()'s working state (budgets, rate
-  /// vectors, the death heap). run() resets it on entry, so a caller that
-  /// simulates many devices back-to-back (the fleet runner) pays the
+  /// Borrow a scratch arena for run()'s working state (per-line arrays,
+  /// index lists, the death heap). run() resets it on entry, so a caller
+  /// simulating many devices back-to-back (the fleet runner) pays the
   /// allocations once and bump-allocates thereafter. nullptr (the default)
   /// falls back to a run-local arena. Purely an allocation strategy: the
   /// simulated trajectory is bit-identical either way.

@@ -15,7 +15,7 @@ void Arena::add_block(std::size_t min_bytes) {
   const std::size_t target =
       std::max({min_bytes, kMinBlockBytes, capacity_});
   Block b;
-  b.data = std::make_unique<std::byte[]>(target);
+  b.data = std::make_unique_for_overwrite<std::byte[]>(target);
   b.size = target;
   capacity_ += target;
   blocks_.push_back(std::move(b));

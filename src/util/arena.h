@@ -2,7 +2,7 @@
 //
 // The fleet runner executes hundreds of thousands of short device
 // simulations per worker; each one used to malloc (and free) the same
-// handful of scratch vectors — event-sim death heaps, per-line budget
+// handful of scratch vectors — event-sim death heaps, per-line state
 // arrays, SoA write-count buffers. An Arena turns that steady-state churn
 // into pointer bumps: allocate() carves from a growing block list, reset()
 // recycles every byte without returning memory to the OS, and after the
@@ -40,7 +40,8 @@ class Arena {
 
   /// Carve `bytes` aligned to `align` (a power of two). Never returns
   /// nullptr: grows the block list when the current block is exhausted.
-  /// allocate(0) returns a valid, unique, aligned pointer.
+  /// allocate(0) returns a valid, unique, aligned pointer. The bytes are
+  /// uninitialized: blocks are not zeroed, so idle headroom costs no RSS.
   [[nodiscard]] void* allocate(std::size_t bytes,
                                std::size_t align = alignof(std::max_align_t));
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "obs/profile_report.h"
@@ -200,6 +201,27 @@ TEST(ProfilerTest, JsonRoundTripsThroughProfileReport) {
   // engine.counts.draw hangs off engine.run in the rendered hierarchy.
   EXPECT_EQ(doc.observed_parent(2), 1u);
   EXPECT_EQ(doc.observed_parent(1), ProfileDoc::npos);
+}
+
+TEST(ProfilerTest, PeakRssIsWrittenAndOptionalOnRead) {
+  Profiler prof;
+  prof.record(ProfPhase::kEventRun, 1000);
+  const ProfileDoc doc = parse_profile(prof.to_json(2000));
+  EXPECT_GT(doc.peak_rss_kb, 0u);
+  std::ostringstream summary;
+  render_profile_summary(summary, doc);
+  EXPECT_NE(summary.str().find("peak RSS: "), std::string::npos);
+
+  // Profiles written before the field existed still load, so older
+  // --compare baselines keep working; their summary just omits the line.
+  const ProfileDoc old = parse_profile(
+      R"({"v": 1, "type": "profile", "deterministic": false, )"
+      R"("clock": "steady_ns", "wall_ns": 2000, "phases": {}, )"
+      R"("counters": {}, "utilization": {"wall_ns": 0, "workers": []}})");
+  EXPECT_EQ(old.peak_rss_kb, 0u);
+  std::ostringstream old_summary;
+  render_profile_summary(old_summary, old);
+  EXPECT_EQ(old_summary.str().find("peak RSS"), std::string::npos);
 }
 
 TEST(ProfilerTest, PhaseTableIsSelfConsistent) {

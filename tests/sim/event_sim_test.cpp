@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "core/maxwe.h"
 #include "spare/spare_scheme.h"
+#include "util/arena.h"
 
 namespace nvmsec {
 namespace {
@@ -226,6 +229,71 @@ TEST(EventSimTest, SkewedRatesShortenUnprotectedLifetime) {
   EXPECT_TRUE(skewed.failed);
   EXPECT_LT(skewed.user_writes, uniform.user_writes);
   EXPECT_GT(skewed.user_writes, 0.0);
+}
+
+// The event engine's per-line working state, on a scaled 1 GB-shaped
+// device: 65536 lines in 256 regions, Max-WE with the paper's 10% spares.
+constexpr std::uint64_t kArenaLines = 65536;
+
+std::shared_ptr<EnduranceMap> arena_map(std::uint64_t seed, double jitter) {
+  Rng rng(seed);
+  auto map = std::make_shared<EnduranceMap>(EnduranceMap::from_model(
+      DeviceGeometry::scaled(kArenaLines, 256), EnduranceModel{}, rng));
+  if (jitter > 0) map->apply_line_jitter(jitter, rng);
+  return map;
+}
+
+/// One Max-WE run in `arena` (nullptr: a run-local one), under UAA or a
+/// zipf-skewed rate vector.
+LifetimeResult run_in(const std::shared_ptr<const EnduranceMap>& map,
+                      Arena* arena, bool skewed = false) {
+  auto spare = make_maxwe(map, MaxWeParams{});
+  UniformEventSimulator sim(map, *spare);
+  if (arena != nullptr) sim.set_scratch(arena);
+  if (skewed) {
+    std::vector<double> rates(spare->working_lines());
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      rates[i] = 1.0 / std::pow(static_cast<double>(i + 1), 0.99);
+    }
+    sim.set_index_rates(std::move(rates));
+  }
+  return sim.run();
+}
+
+TEST(EventArenaBudgetTest, PerLineBytesStayUnderBound) {
+  // remaining, rate, last_t (8 B each), version and list_head (4 B each),
+  // list_next (4 B per working line) and a reserved 16 B heap entry per
+  // line: 51.6 B/line measured. A stored budget or a separate utilization
+  // array (8 B/line each) would break the bound.
+  Arena arena;
+  const LifetimeResult r = run_in(arena_map(7, 0.0), &arena);
+  ASSERT_TRUE(r.failed);
+  const double per_line = static_cast<double>(arena.used()) /
+                          static_cast<double>(kArenaLines);
+  EXPECT_LE(per_line, 56.0);
+}
+
+TEST(EventArenaBudgetTest, DirtyArenaRunMatchesFreshArena) {
+  // Arena blocks are not zero-filled, so a run must not depend on what an
+  // earlier device left in the recycled bytes. One block big enough for
+  // every run keeps the storage the same across them.
+  const auto map = arena_map(7, 0.0);
+  const LifetimeResult fresh = run_in(map, nullptr);
+
+  Arena arena(8u << 20);
+  (void)run_in(arena_map(11, 0.1), &arena);
+  (void)run_in(map, &arena, /*skewed=*/true);
+  const LifetimeResult dirty = run_in(map, &arena);
+  ASSERT_EQ(arena.block_count(), 1u);
+
+  EXPECT_EQ(dirty.user_writes, fresh.user_writes);
+  EXPECT_EQ(dirty.ideal_lifetime, fresh.ideal_lifetime);
+  EXPECT_EQ(dirty.normalized, fresh.normalized);
+  EXPECT_EQ(dirty.line_deaths, fresh.line_deaths);
+  EXPECT_EQ(dirty.failed, fresh.failed);
+  EXPECT_EQ(dirty.failure_reason, fresh.failure_reason);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dirty.wear_gini),
+            std::bit_cast<std::uint64_t>(fresh.wear_gini));
 }
 
 }  // namespace

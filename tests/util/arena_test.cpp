@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +58,38 @@ TEST(Arena, ResetReusesTheSameStorage) {
   EXPECT_EQ(second.data(), first_data);
   // reset() value-initializes on make_span, not on reset: spans are fresh.
   for (std::uint64_t v : second) EXPECT_EQ(v, 0u);
+}
+
+TEST(Arena, MakeSpanZeroesBytesAnEarlierRunDirtied) {
+  // Blocks are not zero-filled, so make_span() alone must hand out zeros
+  // over recycled bytes: first in the reused single block...
+  const auto dirty = [](std::span<std::uint64_t> s) {
+    std::fill(s.begin(), s.end(), ~std::uint64_t{0});
+  };
+  const auto all_zero = [](std::span<const std::uint64_t> s) {
+    return std::all_of(s.begin(), s.end(),
+                       [](std::uint64_t v) { return v == 0; });
+  };
+  Arena arena;
+  const auto first = arena.make_span<std::uint64_t>(512);
+  dirty(first);
+  arena.reset();
+  ASSERT_EQ(arena.block_count(), 1u);
+  const auto again = arena.make_span<std::uint64_t>(512);
+  ASSERT_EQ(again.data(), first.data());
+  EXPECT_TRUE(all_zero(again));
+
+  // ...then across a multi-block run, its coalesced block, and a second
+  // pass over that block.
+  for (int pass = 0; pass < 3; ++pass) {
+    arena.reset();
+    for (int i = 0; i < 8; ++i) {
+      const auto s = arena.make_span<std::uint64_t>(4096);
+      EXPECT_TRUE(all_zero(s)) << "pass " << pass << " span " << i;
+      dirty(s);
+    }
+  }
+  EXPECT_EQ(arena.block_count(), 1u);
 }
 
 TEST(ArenaAllocator, BacksStdVector) {

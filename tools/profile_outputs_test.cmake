@@ -89,14 +89,15 @@ foreach(profile prof_run.profile.json prof_fleet.profile.json)
     if(NOT v STREQUAL "OFF" AND NOT v STREQUAL "false")
       message(FATAL_ERROR "${profile}: must declare deterministic:false")
     endif()
-    foreach(key wall_ns phases counters utilization)
+    foreach(key wall_ns peak_rss_kb phases counters utilization)
       string(JSON v ERROR_VARIABLE err GET "${doc}" ${key})
       if(err MATCHES "not found")
         message(FATAL_ERROR "${profile}: missing '${key}': ${err}")
       endif()
     endforeach()
   else()
-    foreach(key "\"v\"" "\"phases\"" "\"counters\"" "\"utilization\"")
+    foreach(key "\"v\"" "\"peak_rss_kb\"" "\"phases\"" "\"counters\""
+                "\"utilization\"")
       if(NOT doc MATCHES "${key}")
         message(FATAL_ERROR "${profile}: missing ${key}")
       endif()
@@ -134,6 +135,12 @@ foreach(profile prof_run.profile.json prof_fleet.profile.json)
     message(FATAL_ERROR "maxwe_profile output has no attributed line")
   endif()
 endforeach()
+execute_process(
+  COMMAND ${PROFILE} --profile ${WORK_DIR}/prof_run.profile.json --summary
+  RESULT_VARIABLE render_result OUTPUT_VARIABLE render_out)
+if(NOT render_result EQUAL 0 OR NOT render_out MATCHES "peak RSS: ")
+  message(FATAL_ERROR "maxwe_profile --summary has no peak RSS line")
+endif()
 execute_process(
   COMMAND ${PROFILE} --profile ${WORK_DIR}/prof_fleet.profile.json
           --compare ${WORK_DIR}/prof_run.profile.json
