@@ -68,8 +68,9 @@ class ZipfDistCache {
     std::shared_ptr<const ZipfDist> dist;
   };
 
-  /// Each entry holds ~3 doubles per rank; 16 distinct (skew, size) pairs
-  /// is plenty for any sweep while bounding memory.
+  /// Each entry holds ~3 doubles per rank, plus 5 more once a counts draw
+  /// built its splitter; 16 distinct (skew, size) pairs is plenty for any
+  /// sweep while bounding memory.
   static constexpr std::size_t kMaxEntries = 16;
 
   mutable std::mutex mutex_;
@@ -139,7 +140,7 @@ bool ZipfWorkload::next_counts(Rng& rng, std::uint64_t user_lines,
   // the shrink fold, rewriting the just-appended entries in place. Distinct
   // ranks can fold onto one address; duplicate entries are fine downstream.
   const std::size_t first = out.size();
-  dist_->rank_counts.draw(rng, n_writes, out);
+  dist_->rank_counts().draw(rng, n_writes, out);
   for (std::size_t i = first; i < out.size(); ++i) {
     out.addrs[i] = placement_[out.addrs[i]] % user_lines;
   }

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "attack/attack.h"
@@ -16,20 +18,32 @@
 
 namespace nvmsec {
 
-/// Immutable sampling machinery for a Zipf(s) rank distribution over n
-/// ranks: the raw 1/k^s weights, the per-draw alias table, and the batched
-/// multinomial splitter. Building all three is O(n) with large constants
-/// (a pow() per rank), so instances are shared: a spare-fraction sweep over
-/// N seeds would otherwise rebuild the identical tables 7·N times. All
-/// members are read-only after construction and safe to share across
-/// threads.
-struct ZipfDist {
-  std::vector<double> weights;
-  AliasTable ranks;
-  MultinomialSampler rank_counts;
-
+/// Sampling machinery for a Zipf(s) rank distribution over n ranks: the raw
+/// 1/k^s weights, the per-draw alias table, and the batched multinomial
+/// splitter. Instances are shared (a spare-fraction sweep over N seeds would
+/// otherwise rebuild the identical tables 7·N times), and every member is
+/// safe to use from many threads at once. The weights and the alias table
+/// cost a pow() per rank and are built with the instance; the splitter costs
+/// a log1p() and two exp()s per rank and only the counts path uses it, so it
+/// is built on the first rank_counts() call.
+class ZipfDist {
+ public:
   explicit ZipfDist(std::vector<double> w)
-      : weights(std::move(w)), ranks(weights), rank_counts(weights) {}
+      : weights(std::move(w)), ranks(weights) {}
+
+  /// The multinomial splitter over `weights`, built once on first use.
+  [[nodiscard]] const MultinomialSampler& rank_counts() const {
+    std::call_once(rank_counts_once_,
+                   [this] { rank_counts_.emplace(weights); });
+    return *rank_counts_;
+  }
+
+  const std::vector<double> weights;
+  const AliasTable ranks;
+
+ private:
+  mutable std::once_flag rank_counts_once_;
+  mutable std::optional<MultinomialSampler> rank_counts_;
 };
 
 /// Process-wide LRU cache of Zipf distributions keyed by (skew, max_lines)

@@ -26,12 +26,12 @@ double stirling_approx_tail(double k) {
 }
 
 // Inversion (BINV): walk the CDF from 0. O(n*p) expected steps — used only
-// when n*p < 10, where it beats rejection on constant factors.
-std::uint64_t binomial_binv(Rng& rng, std::uint64_t n, double p) {
-  const double q = 1.0 - p;
-  const double s = p / q;
+// when n*p < 10, where it beats rejection on constant factors. Takes p's
+// n-independent constants s = p/(1-p) and lg = log1p(-p) precomputed, so a
+// caller that splits with one p many times computes them once.
+std::uint64_t binomial_binv(Rng& rng, std::uint64_t n, double s, double lg) {
   const double a = static_cast<double>(n + 1) * s;
-  double r = std::exp(static_cast<double>(n) * std::log1p(-p));  // q^n
+  double r = std::exp(static_cast<double>(n) * lg);  // q^n
   double u = rng.uniform_double();
   std::uint64_t x = 0;
   while (u > r) {
@@ -98,7 +98,7 @@ std::uint64_t binomial_draw(Rng& rng, std::uint64_t n, double p) {
     return n - binomial_draw(rng, n, 1.0 - p);
   }
   if (static_cast<double>(n) * p < 10.0) {
-    return binomial_binv(rng, n, p);
+    return binomial_binv(rng, n, p / (1.0 - p), std::log1p(-p));
   }
   return binomial_btrs(rng, n, p);
 }
@@ -117,22 +117,73 @@ MultinomialSampler::MultinomialSampler(std::span<const double> weights) {
   }
   leaves_ = weights.size();
   cap_ = std::bit_ceil(leaves_);
-  tree_.assign(2 * cap_, 0.0);
+  // Subtree weight sums, only for the build: node j's children are 2j and
+  // 2j+1, leaves (padded with zero weight) at [cap_, 2 * cap_).
+  std::vector<double> sums(2 * cap_, 0.0);
   for (std::size_t i = 0; i < leaves_; ++i) {
     const double w = weights[i];
     if (!std::isfinite(w) || w < 0.0) {
       throw std::invalid_argument(
           "MultinomialSampler: weights must be finite and non-negative");
     }
-    tree_[cap_ + i] = w;
+    sums[cap_ + i] = w;
   }
   for (std::size_t j = cap_ - 1; j >= 1; --j) {
-    tree_[j] = tree_[2 * j] + tree_[2 * j + 1];
+    sums[j] = sums[2 * j] + sums[2 * j + 1];
   }
-  total_ = tree_[1];
-  if (!(total_ > 0.0)) {
+  if (!(sums[1] > 0.0)) {
     throw std::invalid_argument("MultinomialSampler: weight sum must be > 0");
   }
+  // Each split's p and what binomial_draw(rng, n, p) derives from it, with
+  // binomial_draw's and binomial_binv's own operations. A side with no
+  // weight takes everything (p = 1 or 0, answered without a draw).
+  splits_.assign(cap_, Split{});
+  for (std::size_t j = 1; j < cap_; ++j) {
+    const double left = sums[2 * j];
+    const double right = sums[2 * j + 1];
+    Split& sp = splits_[j];
+    if (!(right > 0.0)) {
+      sp.p = 1.0;
+    } else if (!(left > 0.0)) {
+      sp.p = 0.0;
+    } else {
+      sp.p = left / (left + right);
+      const double pp = sp.p > 0.5 ? 1.0 - sp.p : sp.p;
+      const double s = pp / (1.0 - pp);
+      sp.lg = std::log1p(-pp);
+      sp.q1 = std::exp(sp.lg);
+      sp.q2 = std::exp(2.0 * sp.lg);
+      sp.pq2 = sp.q2 * (3.0 * s - s);
+    }
+  }
+}
+
+std::uint64_t MultinomialSampler::split(Rng& rng, std::uint64_t n,
+                                        const Split& sp) {
+  // binomial_draw(rng, n, sp.p) branch for branch; n >= 1 here.
+  const double p = sp.p;
+  if (!(p > 0.0)) {
+    return 0;
+  }
+  if (p >= 1.0) {
+    return n;
+  }
+  const bool flip = p > 0.5;
+  const double pp = flip ? 1.0 - p : p;
+  std::uint64_t x;  // Binomial(n, pp)
+  if (n == 1) {
+    // BINV at n = 1: one step of the CDF walk.
+    x = rng.uniform_double() > sp.q1 ? 1 : 0;
+  } else if (n == 2) {
+    // BINV at n = 2: two steps; the walk's r after step one is pq2.
+    const double u = rng.uniform_double();
+    x = u <= sp.q2 ? 0 : (u - sp.q2 <= sp.pq2 ? 1 : 2);
+  } else if (static_cast<double>(n) * pp < 10.0) {
+    x = binomial_binv(rng, n, pp / (1.0 - pp), sp.lg);
+  } else {
+    x = binomial_btrs(rng, n, pp);
+  }
+  return flip ? n - x : x;
 }
 
 void MultinomialSampler::draw(Rng& rng, std::uint64_t n_draws,
@@ -159,16 +210,7 @@ void MultinomialSampler::draw(Rng& rng, std::uint64_t n_draws,
       out.append(cur.node - cap_, cur.count);
       continue;
     }
-    const double left = tree_[2 * cur.node];
-    const double right = tree_[2 * cur.node + 1];
-    std::uint64_t to_left;
-    if (!(right > 0.0)) {
-      to_left = cur.count;
-    } else if (!(left > 0.0)) {
-      to_left = 0;
-    } else {
-      to_left = binomial_draw(rng, cur.count, left / (left + right));
-    }
+    const std::uint64_t to_left = split(rng, cur.count, splits_[cur.node]);
     stack[depth++] = {2 * cur.node + 1, cur.count - to_left};
     stack[depth++] = {2 * cur.node, to_left};
   }
@@ -178,7 +220,13 @@ double MultinomialSampler::probability(std::size_t i) const {
   if (i >= leaves_) {
     throw std::out_of_range("MultinomialSampler::probability: index");
   }
-  return tree_[cap_ + i] / total_;
+  // The product of the split probabilities on the root-to-leaf path.
+  double prob = 1.0;
+  for (std::size_t node = cap_ + i; node > 1; node /= 2) {
+    const double p = splits_[node / 2].p;
+    prob *= node % 2 == 0 ? p : 1.0 - p;
+  }
+  return prob;
 }
 
 void multinomial_uniform(Rng& rng, std::uint64_t n_draws,

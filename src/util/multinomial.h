@@ -55,7 +55,8 @@ struct WriteCountVector {
 };
 
 /// Exact multinomial sampler over a fixed non-negative weight vector.
-/// Construction is O(n) (the subtree-sum tree); draw() is O(hit * log n).
+/// Construction is O(n) (a log1p and two exp per internal node); draw() is
+/// O(hit * log n) and draws exactly what per-split binomial_draw calls would.
 /// Reusable across draws and across threads (draw() is const and touches
 /// only the caller's RNG and output).
 class MultinomialSampler {
@@ -69,17 +70,35 @@ class MultinomialSampler {
 
   [[nodiscard]] std::size_t size() const { return leaves_; }
 
-  /// Exact sampling probability of index i (for tests).
+  /// Sampling probability of index i (for tests): the product of the split
+  /// probabilities on its root-to-leaf path, which is w_i / sum(w) up to
+  /// rounding.
   [[nodiscard]] double probability(std::size_t i) const;
 
  private:
-  /// Implicit complete binary tree of subtree weight sums: leaves (padded
-  /// to a power of two with zero weight) live at [cap_, cap_ + leaves_),
-  /// node j's children are 2j and 2j+1, the root is node 1.
-  std::vector<double> tree_;
+  /// What binomial_draw(rng, n, p) derives from a node's split probability
+  /// that does not depend on n, computed once per internal node instead of
+  /// once per split (40 B a node). pp = min(p, 1 - p) is the probability
+  /// binomial_draw actually draws with, and s = pp / (1 - pp).
+  struct Split {
+    double p{0};    ///< w_L / (w_L + w_R); 1 or 0 when one side has no weight
+    double lg{0};   ///< log1p(-pp): BINV's log q
+    double q1{0};   ///< exp(lg): BINV's P(X = 0) at n = 1
+    double q2{0};   ///< exp(2 lg): BINV's P(X = 0) at n = 2
+    double pq2{0};  ///< q2 * (3s - s): BINV's P(X = 1) at n = 2
+  };
+
+  /// Binomial(n, sp.p) for n >= 1, consuming the same uniforms and
+  /// returning the same value as binomial_draw(rng, n, sp.p).
+  static std::uint64_t split(Rng& rng, std::uint64_t n, const Split& sp);
+
+  /// Implicit complete binary tree (leaves padded to a power of two with
+  /// zero weight): node j's children are 2j and 2j+1, the root is node 1,
+  /// splits_[j] describes internal node j < cap_, and leaf i is node
+  /// cap_ + i.
+  std::vector<Split> splits_;
   std::size_t cap_{0};
   std::size_t leaves_{0};
-  double total_{0};
 };
 
 /// Exact Multinomial(n_draws; uniform over n_outcomes) without a weight

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "sim/experiment.h"
 
@@ -200,6 +203,45 @@ TEST(ZipfTest, AddressRatesMatchEmpiricalFrequencies) {
     const double expected = rates[a] * static_cast<double>(kDraws);
     EXPECT_NEAR(freq[a], expected, 6.0 * std::sqrt(expected + 1.0) + 6.0)
         << "addr=" << a;
+  }
+}
+
+// ZipfDist builds its multinomial splitter on the first counts draw. Several
+// fleet workers can make that first draw at once from one shared instance:
+// each must get the splitter every other thread gets, and draw exactly what
+// a serial draw from the same seed draws.
+TEST(ZipfDistTest, ConcurrentFirstCountsDrawsMatchSerial) {
+  std::vector<double> weights(3001);
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    weights[k] = 1.0 / std::pow(static_cast<double>(k + 1), 0.99);
+  }
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kWrites = 5000;
+  const ZipfDist shared(weights);
+  std::vector<WriteCountVector> got(kThreads);
+  std::vector<const MultinomialSampler*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const MultinomialSampler& sampler = shared.rank_counts();
+      seen[t] = &sampler;
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      sampler.draw(rng, kWrites, got[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const ZipfDist serial(weights);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    Rng rng(100 + static_cast<std::uint64_t>(t));
+    WriteCountVector want;
+    serial.rank_counts().draw(rng, kWrites, want);
+    EXPECT_EQ(got[t].addrs, want.addrs) << "thread " << t;
+    EXPECT_EQ(got[t].counts, want.counts) << "thread " << t;
+    EXPECT_EQ(got[t].total(), kWrites);
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -207,6 +209,109 @@ TEST(MultinomialSamplerTest, MatchesPerDrawDistribution) {
   };
   EXPECT_LT(chi2(batched), 110.0);
   EXPECT_LT(chi2(per_draw), 110.0);
+}
+
+// The walk the split table replaced, kept as the reference it must
+// reproduce: the same implicit tree of subtree sums, and
+// binomial_draw(rng, n, left / (left + right)) at every split.
+void reference_draw(std::span<const double> w, Rng& rng, std::uint64_t n,
+                    WriteCountVector& out) {
+  const std::size_t cap = std::bit_ceil(w.size());
+  std::vector<double> tree(2 * cap, 0.0);
+  std::copy(w.begin(), w.end(), tree.begin() + static_cast<long>(cap));
+  for (std::size_t j = cap - 1; j >= 1; --j) {
+    tree[j] = tree[2 * j] + tree[2 * j + 1];
+  }
+  struct Pending {
+    std::size_t node;
+    std::uint64_t count;
+  };
+  std::vector<Pending> stack{{1, n}};
+  while (!stack.empty()) {
+    const Pending cur = stack.back();
+    stack.pop_back();
+    if (cur.count == 0) continue;
+    if (cur.node >= cap) {
+      out.append(cur.node - cap, cur.count);
+      continue;
+    }
+    const double left = tree[2 * cur.node];
+    const double right = tree[2 * cur.node + 1];
+    std::uint64_t to_left;
+    if (!(right > 0.0)) {
+      to_left = cur.count;
+    } else if (!(left > 0.0)) {
+      to_left = 0;
+    } else {
+      to_left = binomial_draw(rng, cur.count, left / (left + right));
+    }
+    stack.push_back({2 * cur.node + 1, cur.count - to_left});
+    stack.push_back({2 * cur.node, to_left});
+  }
+}
+
+std::vector<double> zipf_weights(std::size_t n, double s) {
+  std::vector<double> w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+  }
+  return w;
+}
+
+// The per-node split table is an optimisation, not a new sampler: every
+// draw must consume the same uniforms and emit the same vector as calling
+// binomial_draw at every split. Weight shapes cover the zipf supports the
+// counts path runs (1843 ranks on a 2048-line device with 10% spares,
+// 58982 on a 65536-line one), sizes that are not a power of two, interior
+// zeros, a single leaf, and ratios where p rounds to 1 or pp is tiny or
+// subnormal. Counts cover n = 1, 2, 3 (BINV's precomputed steps and its
+// first general case), every n across the n * pp = 10 switch to BTRS at
+// the nodes near p = 0.5, and chunks up to 2.5M.
+TEST(MultinomialSamplerTest, SplitTableMatchesPerCallBinomial) {
+  struct Case {
+    const char* name;
+    std::vector<double> w;
+    std::vector<std::uint64_t> counts;
+  };
+  std::vector<std::uint64_t> small_and_boundary;
+  for (std::uint64_t n = 1; n <= 48; ++n) small_and_boundary.push_back(n);
+  for (const std::uint64_t n : {100u, 1345u, 4096u, 65'536u, 2'500'000u}) {
+    small_and_boundary.push_back(n);
+  }
+  std::vector<double> holes = geometric_weights(1000);
+  for (const std::size_t i : {1u, 2u, 3u, 500u, 998u}) holes[i] = 0.0;
+  std::fill(holes.begin() + 600, holes.begin() + 700, 0.0);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<Case> cases{
+      {"zipf1843", zipf_weights(1843, 0.99), small_and_boundary},
+      {"zipf58982", zipf_weights(58'982, 0.99), {1, 2, 3, 20, 1345, 2'500'000}},
+      {"three", {1.0, 2.0, 3.0}, small_and_boundary},
+      {"five", geometric_weights(5), small_and_boundary},
+      {"holes", holes, small_and_boundary},
+      {"single", {0.25}, {1, 2, 3, 2'500'000}},
+      {"extreme",
+       {1e300, 1e-300, 1.0, 1e-20, 1e-20, 1.0, tiny, 1.0, 0.5, 1e308, 0.0,
+        1e-308, 3.0, 1.0 + 1e-15, 7.0, 7.0 * (1.0 - 1e-16)},
+       small_and_boundary},
+  };
+  for (const Case& c : cases) {
+    const MultinomialSampler sampler{std::span<const double>(c.w)};
+    Rng table_rng(2024);
+    Rng reference_rng(2024);
+    for (const std::uint64_t n : c.counts) {
+      for (int rep = 0; rep < 3; ++rep) {
+        WriteCountVector got;
+        WriteCountVector want;
+        sampler.draw(table_rng, n, got);
+        reference_draw(c.w, reference_rng, n, want);
+        ASSERT_EQ(got.addrs, want.addrs) << c.name << " n=" << n;
+        ASSERT_EQ(got.counts, want.counts) << c.name << " n=" << n;
+        ASSERT_EQ(table_rng.generator().state(),
+                  reference_rng.generator().state())
+            << c.name << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(MultinomialUniformTest, ExactConservationAndOrder) {
